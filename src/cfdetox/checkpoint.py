@@ -15,6 +15,7 @@ Layout (all integers little-endian, unsigned):
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -45,28 +46,41 @@ def save_arrays(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_arrays(path: str | Path) -> dict[str, np.ndarray]:
+    """Read a checkpoint; any truncation or trailing bytes is a ParseError."""
     path = Path(path)
-    blob = path.read_bytes()
+    blob = memoryview(path.read_bytes())
+    offset = 0
+
+    def take(size: int, what: str) -> memoryview:
+        nonlocal offset
+        if size > len(blob) - offset:
+            raise ParseError(path, 1, f"truncated checkpoint: {what} needs {size} bytes at offset "
+                                      f"{offset}, file has {len(blob)}")
+        offset += size
+        return blob[offset - size : offset]
+
     if blob[:4] != MAGIC:
         raise ParseError(path, 1, "not a checkpoint file (bad magic)")
-    version, count = struct.unpack_from("<II", blob, 4)
+    take(4, "magic")
+    version, count = struct.unpack("<II", take(8, "header"))
     if version != VERSION:
         raise ParseError(path, 1, f"unsupported checkpoint version {version}")
-    offset = 12
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        name = blob[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        dims = struct.unpack_from(f"<{rank}Q", blob, offset)
-        offset += 8 * rank
-        n = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).reshape(dims)
-        offset += 8 * n
-        arrays[name] = arr.astype(np.float64)
+        (name_len,) = struct.unpack("<I", take(4, "record header"))
+        try:
+            name = str(take(name_len, "record name"), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(path, 1, f"record name at offset {offset - name_len} is not utf-8") from exc
+        (rank,) = struct.unpack("<I", take(4, "record header"))
+        dims = struct.unpack(f"<{rank}Q", take(8 * rank, "record dims"))
+        data = take(8 * math.prod(dims), "record data")
+        try:
+            arrays[name] = np.frombuffer(data, dtype="<f8").reshape(dims).astype(np.float64)
+        except (ValueError, OverflowError) as exc:
+            raise ParseError(path, 1, f"bad shape {dims} for {name!r}: {exc}") from exc
+    if offset != len(blob):
+        raise ParseError(path, 1, f"{len(blob) - offset} trailing bytes after {count} records")
     return arrays
 
 

@@ -52,8 +52,10 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--learning-rate", type=float, help=f"AdamW learning rate (default: {defaults.learning_rate})")
     p.add_argument("--dropout", type=float, help=f"dropout rate (default: {defaults.dropout})")
     p.add_argument("--hidden", type=int, help=f"MLP hidden width (default: {defaults.hidden})")
-    p.add_argument("--lx", type=int, help=f"padded sentence length (default: {defaults.lx})")
-    p.add_argument("--lb", type=int, help=f"padded bias-token length (default: {defaults.lb})")
+    p.add_argument("--lx", type=int,
+                   help=f"maximum sentence length; batches pad to their longest row (default: {defaults.lx})")
+    p.add_argument("--lb", type=int,
+                   help=f"maximum bias-token length; batches pad to their longest row (default: {defaults.lb})")
     p.add_argument("--embed-dim", type=int, help=f"encoder width (default: {defaults.embed_dim})")
     p.add_argument("--eval-every-steps", type=int, help=f"validation cadence (default: {defaults.eval_every_steps})")
     p.add_argument("--weight-decay", type=float, help=f"AdamW decoupled decay (default: {defaults.weight_decay})")
@@ -115,37 +117,37 @@ def build_parser() -> _Parser:
 # config resolution
 # ---------------------------------------------------------------------------
 
-def _parse_config_file(path: Path) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
+def _parse_config_file(path: Path) -> dict[str, object]:
+    """Typed TrainConfig values from a ``key=value`` file."""
+    raw: dict[str, str] = {}
+    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValidationError(f"{path}:{line_no}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
+        raw[key.strip()] = value.strip()
+    defaults = TrainConfig()
+    unknown = set(raw) - set(defaults.as_dict())
+    if unknown:
+        raise ValidationError(f"{path}: unknown config keys: {sorted(unknown)}")
+    values: dict[str, object] = {}
+    for key, value in raw.items():
+        try:
+            values[key] = type(getattr(defaults, key))(value)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: config key {key}={value!r}: {exc}") from exc
+    return values
 
 
 def resolve_train_config(args: argparse.Namespace) -> TrainConfig:
     """flags > config file > dataclass defaults."""
-    defaults = TrainConfig()
-    values: dict[str, object] = {}
-    file_values = _parse_config_file(Path(args.config)) if args.config else {}
+    values = _parse_config_file(Path(args.config)) if args.config else {}
     for f in fields(TrainConfig):
         flag = getattr(args, f.name, None)
         if flag is not None:
             values[f.name] = flag
-        elif f.name in file_values:
-            raw = file_values[f.name]
-            try:
-                values[f.name] = type(getattr(defaults, f.name))(raw)
-            except ValueError as exc:
-                raise ValidationError(f"config key {f.name}={raw!r}: {exc}") from exc
-    unknown = set(file_values) - {f.name for f in fields(TrainConfig)}
-    if unknown:
-        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
     return TrainConfig(**values)
 
 
@@ -154,19 +156,10 @@ def _write_config(path: Path, config: TrainConfig) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _read_config(path: Path) -> TrainConfig:
-    values = _parse_config_file(path)
-    kwargs: dict[str, object] = {}
-    for f in fields(TrainConfig):
-        if f.name in values:
-            kwargs[f.name] = type(getattr(TrainConfig(), f.name))(values[f.name])
-    return TrainConfig(**kwargs)
-
-
 def _load_checkpoint(checkpoint_path: str):
     path = Path(checkpoint_path)
     vocab = D.Vocab.load(path.parent / VOCAB_FILE)
-    config = _read_config(path.parent / CONFIG_FILE)
+    config = TrainConfig(**_parse_config_file(path.parent / CONFIG_FILE))
     branches, consts = T.branches_for_mode(config.mode)
     shapes = M.param_shapes(config.model_config(len(vocab)), branches, consts)
     params = ckpt.load_params(path, expect_shapes=shapes)
@@ -276,6 +269,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     params, config, vocab = _load_checkpoint(args.checkpoint)
+    if args.records and config.mode != "ccdf":
+        raise ValidationError("--records needs a ccdf checkpoint (no effect scores otherwise)")
     lexicon = load_lexicon(args.lexicon)
     examples = D.load_jsonl(args.data)
     if not examples:
@@ -293,15 +288,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         payload["ood"] = ood_report.as_dict()
     out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     if args.records:
-        if config.mode != "ccdf":
-            raise ValidationError("--records needs a ccdf checkpoint (no effect scores otherwise)")
         with open(args.records, "w", encoding="utf-8") as fh:
-            for start in range(0, len(examples), T.EVAL_BATCH_SIZE):
-                chunk = examples[start : start + T.EVAL_BATCH_SIZE]
-                batch = D.encode_batch(chunk, lexicon, vocab, config.lx, config.lb)
-                cats = [sorted(match_biased_tokens(ex.tokens, lexicon).categories) for ex in chunk]
-                for record in T.predict_batch(params, batch, config.mode, args.inference, cats):
-                    fh.write(json.dumps(record) + "\n")
+            fh.writelines(json.dumps(record) + "\n" for record in report.records)
         print(f"per-example records written to {args.records}")
     print(render_table(report, ood_report))
     print(f"report written to {out}")

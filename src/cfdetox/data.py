@@ -140,7 +140,10 @@ class Vocab:
 
 @dataclass
 class EncodedBatch:
-    """Padded id matrices plus aligned masks; mask is 1 exactly off-pad."""
+    """Padded id matrices plus aligned masks; mask is 1 exactly off-pad.
+
+    ``encode_batch`` makes each matrix as wide as its longest row.
+    """
 
     x_ids: np.ndarray  # int64 [batch, Lx]
     b_ids: np.ndarray  # int64 [batch, Lb]
@@ -149,11 +152,12 @@ class EncodedBatch:
     labels: np.ndarray  # int64 [batch]
 
 
-def _encode_tokens(tokens: Sequence[str], vocab: Vocab, max_len: int) -> list[int]:
-    ids = [vocab.id(t) for t in tokens][:max_len]
-    if not ids:
-        ids = [UNK_ID]  # keep pooling well-formed for empty sentences
-    return ids + [PAD_ID] * (max_len - len(ids))
+def _pad_rows(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad id rows with PAD to the longest one; returns (ids, mask)."""
+    ids = np.full((len(rows), max(map(len, rows), default=1)), PAD_ID, dtype=np.int64)
+    for i, row in enumerate(rows):
+        ids[i, : len(row)] = row
+    return ids, (ids != PAD_ID).astype(np.float64)
 
 
 def encode_batch(
@@ -166,41 +170,33 @@ def encode_batch(
 ) -> EncodedBatch:
     """Build (x_ids, b_ids, masks, labels) for a list of examples.
 
-    The bias-token sequence interleaves SEP between matches:
+    Sentences are truncated to ``max_sentence_len`` ids and bias sequences
+    to ``max_bias_len``; each matrix is then padded to its longest row.
+    An empty sentence encodes as the single UNK id, keeping pooling
+    well-formed.  The bias-token sequence interleaves SEP between matches:
     [b1, SEP, b2, ...]; an empty match encodes as the single NOBIAS id.
     With ``mask_bias`` the sentence ids of matched tokens are replaced by
     UNK (training-time masking mode); the bias sequence is unaffected.
     """
     if max_sentence_len < 1 or max_bias_len < 1:
-        raise ValidationError("padded lengths must be >= 1")
-    n = len(examples)
-    x_ids = np.zeros((n, max_sentence_len), dtype=np.int64)
-    b_ids = np.zeros((n, max_bias_len), dtype=np.int64)
-    labels = np.zeros(n, dtype=np.int64)
-    for i, ex in enumerate(examples):
-        tokens = ex.tokens
+        raise ValidationError("maximum lengths must be >= 1")
+    x_rows: list[list[int]] = []
+    b_rows: list[list[int]] = []
+    for ex in examples:
+        tokens = ex.tokens[:max_sentence_len]
         if mask_bias:
             tokens = tuple(UNK if t.lower() in lexicon.entries else t for t in tokens)
-        x_ids[i] = _encode_tokens(tokens, vocab, max_sentence_len)
-        matched = match_biased_tokens(ex.tokens, lexicon)
-        if matched.tokens:
-            interleaved: list[int] = []
-            for j, tok in enumerate(matched.tokens):
-                if j > 0:
-                    interleaved.append(SEP_ID)
-                interleaved.append(vocab.id(tok))
-            interleaved = interleaved[:max_bias_len]
-            b_ids[i, : len(interleaved)] = interleaved
-        else:
-            b_ids[i, 0] = NOBIAS_ID
-        labels[i] = ex.label
-    return EncodedBatch(
-        x_ids=x_ids,
-        b_ids=b_ids,
-        x_mask=(x_ids != PAD_ID).astype(np.float64),
-        b_mask=(b_ids != PAD_ID).astype(np.float64),
-        labels=labels,
-    )
+        x_rows.append([vocab.id(t) for t in tokens] or [UNK_ID])
+        interleaved: list[int] = []
+        for tok in match_biased_tokens(ex.tokens, lexicon).tokens:
+            if interleaved:
+                interleaved.append(SEP_ID)
+            interleaved.append(vocab.id(tok))
+        b_rows.append(interleaved[:max_bias_len] or [NOBIAS_ID])
+    x_ids, x_mask = _pad_rows(x_rows)
+    b_ids, b_mask = _pad_rows(b_rows)
+    labels = np.array([ex.label for ex in examples], dtype=np.int64)
+    return EncodedBatch(x_ids=x_ids, b_ids=b_ids, x_mask=x_mask, b_mask=b_mask, labels=labels)
 
 
 def nobias_batch(batch: EncodedBatch) -> EncodedBatch:
@@ -208,13 +204,12 @@ def nobias_batch(batch: EncodedBatch) -> EncodedBatch:
 
     This is the no-treatment input used as the reference evaluation.
     """
-    b_ids = np.zeros_like(batch.b_ids)
-    b_ids[:, 0] = NOBIAS_ID
+    b_ids, b_mask = _pad_rows([[NOBIAS_ID]] * len(batch.labels))
     return EncodedBatch(
         x_ids=batch.x_ids,
         b_ids=b_ids,
         x_mask=batch.x_mask,
-        b_mask=(b_ids != PAD_ID).astype(np.float64),
+        b_mask=b_mask,
         labels=batch.labels,
     )
 

@@ -122,6 +122,8 @@ class EvalReport:
 
     ``by_rule`` (present for checkpoints that support several inference
     rules) carries overall accuracy/F1 under each rule for comparison.
+    ``records`` holds the per-example inference records the report was
+    built from; it is not part of the serialized report.
     """
 
     dataset_size: int
@@ -133,6 +135,7 @@ class EvalReport:
     f1_weighted: float | None
     per_category: dict[str, CategoryReport] = field(default_factory=dict)
     by_rule: dict[str, dict] = field(default_factory=dict)
+    records: list[dict] = field(default_factory=list, repr=False)
 
     def as_dict(self) -> dict:
         return {

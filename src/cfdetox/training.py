@@ -45,8 +45,8 @@ class TrainConfig:
     learning_rate: float = 1e-5
     dropout: float = 0.1
     hidden: int = 256
-    lx: int = 128  # padded sentence length
-    lb: int = 16  # padded bias-token length
+    lx: int = 128  # maximum sentence length; batches pad to their longest row
+    lb: int = 16  # maximum bias-token length; batches pad to their longest row
     eval_every_steps: int = 1000
     seed: int = 0
     mode: str = "ccdf"
@@ -221,27 +221,24 @@ def evaluate(
     Subsets are defined by the presence of at least one lexicon token of
     each category; an example may fall in several subsets.  For ccdf
     checkpoints the report also carries overall accuracy/F1 under every
-    rule for comparison.
+    rule for comparison.  ``report.records`` holds the per-example
+    inference records, in dataset order.
     """
     if not examples:
         raise ValidationError("cannot evaluate an empty dataset")
-    predictions: list[int] = []
-    labels: list[int] = []
-    categories: list[list[str]] = []
-    records_all: list[dict] = []
+    records: list[dict] = []
     for start in range(0, len(examples), EVAL_BATCH_SIZE):
         chunk = examples[start : start + EVAL_BATCH_SIZE]
         batch = encode_batch(chunk, lexicon, vocab, config.lx, config.lb)
         cats = [sorted(match_biased_tokens(ex.tokens, lexicon).categories) for ex in chunk]
-        records = predict_batch(params, batch, config.mode, inference, cats)
-        records_all.extend(records)
-        predictions.extend(_record_label(r, inference) for r in records)
-        labels.extend(int(y) for y in batch.labels)
-        categories.extend(cats)
-    report = build_report(predictions, labels, categories, config.mode, inference)
+        records.extend(predict_batch(params, batch, config.mode, inference, cats))
+    labels = [ex.label for ex in examples]
+    predictions = [_record_label(r, inference) for r in records]
+    report = build_report(predictions, labels, [r["categories"] for r in records], config.mode, inference)
+    report.records = records
     if config.mode == "ccdf":
         for rule in INFERENCE_RULES:
-            conf = Confusion.from_pairs([_record_label(r, rule) for r in records_all], labels)
+            conf = Confusion.from_pairs([_record_label(r, rule) for r in records], labels)
             report.by_rule[rule] = {
                 "accuracy": (conf.tp + conf.tn) / conf.size,
                 "f1_binary": f1_binary(conf),

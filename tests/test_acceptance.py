@@ -22,7 +22,7 @@ from cfdetox.cli import main
 from cfdetox.data import encode_batch, nobias_batch
 from cfdetox.lexicon import load_lexicon, match_biased_tokens
 from cfdetox.metrics import Confusion, accuracy, f1_binary, fpr
-from conftest import make_batch
+from helpers import make_batch
 
 
 def report(name: str, ok: bool, detail: str) -> None:

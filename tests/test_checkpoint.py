@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfdetox.checkpoint import load_arrays, load_params, save_arrays, save_params
 from cfdetox.errors import ParseError, ShapeError
@@ -32,6 +36,15 @@ def test_rejects_garbage(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(ParseError, match="magic"):
+        load_arrays(path)
+
+
+def test_rank_beyond_numpy_limit_is_parse_error(tmp_path):
+    path = tmp_path / "deep.bin"
+    rank = 100  # every dim 1, so the record's data is one float
+    path.write_bytes(b"CFDX" + struct.pack("<III", 1, 1, 1) + b"a" + struct.pack("<I", rank)
+                     + struct.pack(f"<{rank}Q", *[1] * rank) + struct.pack("<d", 1.0))
+    with pytest.raises(ParseError, match="bad shape"):
         load_arrays(path)
 
 
@@ -80,3 +93,42 @@ def test_format_layout_is_as_documented(tmp_path):
     assert int.from_bytes(blob[18:22], "little") == 1  # rank
     assert int.from_bytes(blob[22:30], "little") == 2  # dim
     assert np.frombuffer(blob[30:46], dtype="<f8").tolist() == [1.0, 2.0]
+
+
+@pytest.fixture(scope="module")
+def real_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ck") / "model.bin"
+    save_params(path, init_params(ModelConfig(vocab_size=9, embed_dim=4, hidden=5), np.random.default_rng(0)))
+    return path
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_truncated_checkpoint_is_parse_error(real_checkpoint, data):
+    blob = real_checkpoint.read_bytes()
+    cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+    target = real_checkpoint.with_name("cut.bin")
+    target.write_bytes(blob[:cut])
+    with pytest.raises(ParseError):
+        load_arrays(target)
+
+
+@settings(max_examples=50, deadline=None)
+@given(tail=st.binary(min_size=1, max_size=64))
+def test_trailing_bytes_are_parse_error(real_checkpoint, tail):
+    target = real_checkpoint.with_name("tail.bin")
+    target.write_bytes(real_checkpoint.read_bytes() + tail)
+    with pytest.raises(ParseError, match="trailing"):
+        load_arrays(target)
+
+
+def test_every_truncation_of_a_small_checkpoint_is_parse_error(tmp_path):
+    # two records, so every header field of a record is cut at some offset
+    path = tmp_path / "ck.bin"
+    save_arrays(path, {"ab": np.array([1.0, 2.0]), "m": np.ones((2, 1))})
+    blob = path.read_bytes()
+    assert load_arrays(path)["m"].shape == (2, 1)
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ParseError):
+            load_arrays(path)

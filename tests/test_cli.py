@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from cfdetox.cli import main
-from cfdetox.data import load_jsonl
-from cfdetox.lexicon import load_lexicon
+from cfdetox import training as T
+from cfdetox.cli import _load_checkpoint, main
+from cfdetox.data import encode_batch, load_jsonl
+from cfdetox.lexicon import load_lexicon, match_biased_tokens
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +171,30 @@ def test_eval_per_example_records(run_dir, corpus_dir, tmp_path):
                            "te_label", "tie_label", "factual_label", "categories"}
     tie = np.asarray(record["fused_factual"]) - np.asarray(record["fused_counterfactual"])
     assert record["tie"] == pytest.approx(tie)
+    # the file holds exactly the records a batch-by-batch predict_batch sweep gives
+    params, config, vocab = _load_checkpoint(str(run_dir / "model.bin"))
+    lexicon = load_lexicon(corpus_dir / "lexicon.csv")
+    examples = load_jsonl(corpus_dir / "test_iid.jsonl")
+    expected = []
+    for start in range(0, len(examples), T.EVAL_BATCH_SIZE):
+        chunk = examples[start : start + T.EVAL_BATCH_SIZE]
+        batch = encode_batch(chunk, lexicon, vocab, config.lx, config.lb)
+        cats = [sorted(match_biased_tokens(ex.tokens, lexicon).categories) for ex in chunk]
+        expected.extend(json.dumps(r) + "\n" for r in T.predict_batch(params, batch, "ccdf", "tie", cats))
+    assert records_path.read_text(encoding="utf-8") == "".join(expected)
+
+
+def test_eval_records_need_ccdf_checkpoint(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "vanilla"
+    assert main(["train", "--data", str(corpus_dir), "--out", str(out), "--mode", "vanilla",
+                 "--epochs", "1", "--hidden", "8", "--embed-dim", "8", "--lx", "12"]) == 0
+    rc = main(["eval", "--checkpoint", str(out / "model.bin"),
+               "--data", str(corpus_dir / "test_iid.jsonl"),
+               "--lexicon", str(corpus_dir / "lexicon.csv"),
+               "--inference", "factual", "--records", str(tmp_path / "records.jsonl")])
+    assert rc == 1
+    assert "ccdf" in capsys.readouterr().err
+    assert not (tmp_path / "records.jsonl").exists()
 
 
 def test_eval_with_ood_column(run_dir, corpus_dir, capsys):
@@ -204,6 +229,38 @@ def test_eval_checkpoint_vocab_mismatch(run_dir, corpus_dir, tmp_path, capsys):
                "--lexicon", str(corpus_dir / "lexicon.csv")])
     assert rc == 1
     assert "mismatch" in capsys.readouterr().err
+
+
+def _clone_run(run_dir, dest):
+    dest.mkdir()
+    for name in ("model.bin", "config.txt", "vocab.txt"):
+        (dest / name).write_bytes((run_dir / name).read_bytes())
+    return dest
+
+
+def test_eval_non_numeric_checkpoint_config_is_validation_error(run_dir, corpus_dir, tmp_path, capsys):
+    clone = _clone_run(run_dir, tmp_path / "clone")
+    config = (clone / "config.txt").read_text(encoding="utf-8").replace("lx=12", "lx=abc")
+    (clone / "config.txt").write_text(config, encoding="utf-8")
+    for argv in (["eval", "--data", str(corpus_dir / "test_iid.jsonl")], ["infer", "--text", "hi"]):
+        rc = main([*argv, "--checkpoint", str(clone / "model.bin"),
+                   "--lexicon", str(corpus_dir / "lexicon.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "lx='abc'" in err
+        assert len(err.strip().splitlines()) == 1
+
+
+def test_eval_truncated_checkpoint_is_validation_error(run_dir, corpus_dir, tmp_path, capsys):
+    clone = _clone_run(run_dir, tmp_path / "clone")
+    (clone / "model.bin").write_bytes((run_dir / "model.bin").read_bytes()[:500])
+    rc = main(["eval", "--checkpoint", str(clone / "model.bin"),
+               "--data", str(corpus_dir / "test_iid.jsonl"),
+               "--lexicon", str(corpus_dir / "lexicon.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "truncated" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_infer_record(run_dir, corpus_dir, capsys):

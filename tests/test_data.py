@@ -17,7 +17,7 @@ from cfdetox.data import (
     tokenize,
 )
 from cfdetox.errors import ParseError, ValidationError
-from conftest import examples_from
+from helpers import examples_from
 
 
 # ---------------------------------------------------------------------------
@@ -122,17 +122,17 @@ def test_encode_interleaves_separator(tiny_lexicon):
     examples = examples_from([("beat that hoe ass", 1)])
     vocab = Vocab.build(examples)
     batch = encode_batch(examples, tiny_lexicon, vocab, max_sentence_len=8, max_bias_len=5)
-    expected = [vocab.id("hoe"), D.SEP_ID, vocab.id("ass"), D.PAD_ID, D.PAD_ID]
+    expected = [vocab.id("hoe"), D.SEP_ID, vocab.id("ass")]
     assert batch.b_ids[0].tolist() == expected
-    assert batch.b_mask[0].tolist() == [1, 1, 1, 0, 0]
+    assert batch.b_mask[0].tolist() == [1, 1, 1]
 
 
 def test_encode_empty_bias_uses_nobias(tiny_lexicon):
     examples = examples_from([("hello world", 0)])
     vocab = Vocab.build(examples)
     batch = encode_batch(examples, tiny_lexicon, vocab, 8, 4)
-    assert batch.b_ids[0].tolist() == [D.NOBIAS_ID, 0, 0, 0]
-    assert batch.b_mask[0].tolist() == [1, 0, 0, 0]
+    assert batch.b_ids[0].tolist() == [D.NOBIAS_ID]
+    assert batch.b_mask[0].tolist() == [1]
 
 
 def test_encode_truncates_long_sentence(tiny_lexicon):
@@ -142,6 +142,25 @@ def test_encode_truncates_long_sentence(tiny_lexicon):
     batch = encode_batch(examples, tiny_lexicon, vocab, 128, 4)
     assert batch.x_ids.shape == (1, 128)
     assert batch.x_ids[0].tolist() == [vocab.id(f"w{i}") for i in range(128)]
+
+
+def test_encode_width_is_longest_row_capped_at_limit(tiny_lexicon):
+    examples = examples_from([("a b c", 0), ("hoe ass black zorp x y z", 1), ("w", 0)])
+    vocab = Vocab.build(examples)
+    batch = encode_batch(examples, tiny_lexicon, vocab, 128, 16)
+    assert batch.x_ids.shape == batch.x_mask.shape == (3, 7)
+    assert batch.b_ids.shape == batch.b_mask.shape == (3, 7)  # 4 matches, 3 separators
+    assert (batch.x_mask.sum(axis=1) == [3, 7, 1]).all()
+    assert (batch.b_mask.sum(axis=1) == [1, 7, 1]).all()
+    capped = encode_batch(examples, tiny_lexicon, vocab, 5, 3)
+    assert capped.x_ids.shape == (3, 5)
+    assert capped.b_ids.shape == (3, 3)
+    assert capped.x_ids[1].tolist() == batch.x_ids[1, :5].tolist()
+
+
+def test_encode_no_examples_gives_empty_batch(tiny_lexicon):
+    batch = encode_batch([], tiny_lexicon, Vocab(), 128, 16)
+    assert batch.x_ids.shape[0] == batch.b_ids.shape[0] == batch.labels.shape[0] == 0
 
 
 def test_encode_round_trips_in_vocab_tokens(tiny_lexicon):
@@ -165,7 +184,7 @@ def test_encode_empty_sentence_becomes_unk(tiny_lexicon):
     examples = [Example(text="...", tokens=(), label=0)]
     vocab = Vocab.build(examples)
     batch = encode_batch(examples, tiny_lexicon, vocab, 4, 4)
-    assert batch.x_ids[0].tolist() == [D.UNK_ID, 0, 0, 0]
+    assert batch.x_ids[0].tolist() == [D.UNK_ID]
     assert batch.x_mask[0].sum() == 1
 
 
@@ -174,7 +193,7 @@ def test_encode_mask_bias_replaces_lexicon_tokens_with_unk(tiny_lexicon):
     vocab = Vocab.build(examples)
     plain = encode_batch(examples, tiny_lexicon, vocab, 6, 6)
     masked = encode_batch(examples, tiny_lexicon, vocab, 6, 6, mask_bias=True)
-    assert masked.x_ids[0].tolist() == [vocab.id("beat"), vocab.id("that"), D.UNK_ID, D.UNK_ID, 0, 0]
+    assert masked.x_ids[0].tolist() == [vocab.id("beat"), vocab.id("that"), D.UNK_ID, D.UNK_ID]
     # the bias sequence itself is untouched
     assert (masked.b_ids == plain.b_ids).all()
 

@@ -7,7 +7,7 @@ from cfdetox.data import encode_batch, nobias_batch, Vocab
 from cfdetox.errors import ContractError, ValidationError
 from cfdetox.model import ModelConfig, ScenarioLogits, ccdf_forward, init_params
 from cfdetox import autodiff as A
-from conftest import examples_from, make_batch
+from helpers import examples_from, make_batch
 
 
 def fake_logits(fused, scenario):

@@ -18,7 +18,7 @@ from cfdetox.model import (
     init_params,
 )
 from cfdetox.training import total_loss
-from conftest import make_batch
+from helpers import make_batch
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from cfdetox.training import (
     total_loss,
     train,
 )
-from conftest import make_batch
+from helpers import make_batch
 
 
 def small_config(**overrides):
