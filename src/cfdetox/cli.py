@@ -160,8 +160,8 @@ def _load_checkpoint(checkpoint_path: str):
     path = Path(checkpoint_path)
     vocab = D.Vocab.load(path.parent / VOCAB_FILE)
     config = TrainConfig(**_parse_config_file(path.parent / CONFIG_FILE))
-    branches, consts = T.branches_for_mode(config.mode)
-    shapes = M.param_shapes(config.model_config(len(vocab)), branches, consts)
+    spec = config.spec
+    shapes = M.param_shapes(config.model_config(len(vocab)), spec.branches, spec.invariant_responses)
     params = ckpt.load_params(path, expect_shapes=shapes)
     return params, config, vocab
 
@@ -269,7 +269,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     params, config, vocab = _load_checkpoint(args.checkpoint)
-    if args.records and config.mode != "ccdf":
+    if args.records and not config.spec.invariant_responses:
         raise ValidationError("--records needs a ccdf checkpoint (no effect scores otherwise)")
     lexicon = load_lexicon(args.lexicon)
     examples = D.load_jsonl(args.data)
@@ -300,7 +300,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
     if not args.text.strip():
         raise ValidationError("--text is empty")
     params, config, vocab = _load_checkpoint(args.checkpoint)
-    if config.mode != "ccdf":
+    if not config.spec.invariant_responses:
         raise ValidationError(f"infer needs a ccdf checkpoint, got mode {config.mode!r}")
     lexicon = load_lexicon(args.lexicon)
     example = D.Example.from_text(args.text, 0)

@@ -108,7 +108,10 @@ class Vocab:
         return token in self._ids
 
     def id(self, token: str) -> int:
-        return self._ids.get(token, UNK_ID)
+        """Id of a text token; unknown words and the reserved surfaces
+        (``<pad>``, ``<sep>``, ...) written in text read as UNK."""
+        idx = self._ids.get(token, UNK_ID)
+        return UNK_ID if idx < len(RESERVED) else idx
 
     def token(self, idx: int) -> str:
         return self.tokens[idx]

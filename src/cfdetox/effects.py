@@ -1,35 +1,32 @@
 """Effect algebra over scenario outputs: total effect, natural direct
-effect, and their difference used as the debiased prediction.
+effect, and total indirect effect, the last used as the debiased
+prediction.
 
-All functions here are pure numpy over fused score vectors; the
-differentiable model lives in :mod:`cfdetox.model`.  The no-treatment
-value of the bias input is realized as the reserved NOBIAS token, so the
-reference evaluation is computable and the direct effect vanishes exactly
-on sentences with no lexicon match.
+The differentiable model lives in :mod:`cfdetox.model`; here everything is
+plain numpy over fused score vectors.  The no-treatment value of the bias
+input is realized as the reserved NOBIAS token, so the reference
+evaluation is computable and the direct effect vanishes exactly on
+sentences with no lexicon match.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from cfdetox.errors import ContractError, ValidationError
+from cfdetox.errors import ContractError
 from cfdetox.model import FUSION_GUARD_EPS, ScenarioLogits
-
-Variant = Literal["full", "no_Fe", "no_Fx"]
-VARIANTS = ("full", "no_Fe", "no_Fx")
 
 
 @dataclass(frozen=True)
 class EffectBundle:
-    """te/nde/tie per class; tie is computed as te - nde."""
+    """te/nde/tie per class, each shaped like the fused scores."""
 
     te: np.ndarray
     nde: np.ndarray
     tie: np.ndarray
-    variant: Variant
 
 
 def harmonic_fusion(scores: Sequence[np.ndarray]) -> np.ndarray:
@@ -46,98 +43,27 @@ def argmax_label(score: np.ndarray) -> int:
     return int(score[1] > score[0])
 
 
-def _fused(logits: ScenarioLogits) -> np.ndarray:
-    return logits.fused.data
+def effects(factual: ScenarioLogits, counterfactual: ScenarioLogits, reference: ScenarioLogits) -> EffectBundle:
+    """The three effects of the bias input on the fused score.
 
-
-def total_effect(factual: ScenarioLogits, reference: ScenarioLogits) -> np.ndarray:
-    """Fused factual score minus the all-blocked reference score.
-
-    ``reference`` must be a counterfactual-scenario evaluation on the
-    NOBIAS input (blocked heads, no-treatment bias); shapes must agree.
+    ``factual`` is the evaluation with every head live; ``counterfactual``
+    blocks the ensemble and sentence heads at their invariant responses
+    on the same bias input; ``reference`` blocks them too and feeds the
+    no-treatment (NOBIAS) bias input.  te = factual - reference,
+    nde = counterfactual - reference (the bias-only shift, which never
+    depends on the sentence) and tie = factual - counterfactual, which
+    equals te - nde up to rounding.  All three fused arrays must share
+    one shape.
     """
-    if factual.scenario != "factual":
-        raise ContractError(f"total_effect needs factual logits, got {factual.scenario!r}")
-    if reference.scenario != "counterfactual":
-        raise ContractError(f"total_effect reference must be counterfactual, got {reference.scenario!r}")
-    if _fused(factual).shape != _fused(reference).shape:
-        raise ContractError(
-            f"scenario shape mismatch: {_fused(factual).shape} vs {_fused(reference).shape}"
-        )
-    return _fused(factual) - _fused(reference)
-
-
-def natural_direct_effect(counterfactual: ScenarioLogits, reference: ScenarioLogits) -> np.ndarray:
-    """Bias-only score shift: blocked-heads evaluation minus the reference.
-
-    Both arguments must be counterfactual-scenario evaluations; they differ
-    only in the bias input (observed vs NOBIAS).  Depends on the bias
-    tokens and parameters alone, never on the sentence.
-    """
-    for name, logits in (("counterfactual", counterfactual), ("reference", reference)):
-        if logits.scenario != "counterfactual":
-            raise ContractError(f"natural_direct_effect {name} must be counterfactual, got {logits.scenario!r}")
-    return _fused(counterfactual) - _fused(reference)
-
-
-def debiased_prediction(factual: ScenarioLogits, counterfactual: ScenarioLogits) -> tuple[np.ndarray, int]:
-    """Per-class tie scores and the debiased label.
-
-    tie = fused(factual) - fused(counterfactual), evaluated with the same
-    parameters on the same example; the label is the tie argmax with ties
-    broken toward non-toxic.
-    """
-    if factual.scenario != "factual" or counterfactual.scenario != "counterfactual":
-        raise ContractError(
-            f"debiased_prediction needs (factual, counterfactual), got "
-            f"({factual.scenario!r}, {counterfactual.scenario!r})"
-        )
-    tie = _fused(factual) - _fused(counterfactual)
-    if tie.ndim != 1:
-        raise ContractError("debiased_prediction works on a single example; see inference_records")
-    return tie, argmax_label(tie)
-
-
-def ablated_effects(
-    variant: Variant,
-    y_live: np.ndarray,
-    y_b: np.ndarray,
-    c_blocked: np.ndarray,
-    y_b_star: np.ndarray,
-) -> EffectBundle:
-    """Effect bundle for one example under an ablated causal graph.
-
-    ``no_Fe`` drops the ensemble head: the live branch is the sentence
-    score and ``c_blocked`` its invariant response.  ``no_Fx`` drops the
-    sentence head: the live branch is the ensemble score.  Fusion is the
-    two-factor product of the remaining branches.  ``y_b_star`` is the
-    bias head's response to the NOBIAS input.
-    """
-    if variant not in ("no_Fe", "no_Fx"):
-        raise ValidationError(f"unknown ablation variant {variant!r}; expected no_Fe or no_Fx")
-    factual = harmonic_fusion([y_live, y_b])
-    blocked = harmonic_fusion([c_blocked, y_b])
-    reference = harmonic_fusion([c_blocked, y_b_star])
-    te = factual - reference
-    nde = blocked - reference
-    return EffectBundle(te=te, nde=nde, tie=te - nde, variant=variant)
-
-
-def full_effects(
-    y_e: np.ndarray,
-    y_x: np.ndarray,
-    y_b: np.ndarray,
-    c_e: np.ndarray,
-    c_x: np.ndarray,
-    y_b_star: np.ndarray,
-) -> EffectBundle:
-    """Effect bundle for one example under the full three-branch graph."""
-    factual = harmonic_fusion([y_e, y_x, y_b])
-    blocked = harmonic_fusion([c_e, c_x, y_b])
-    reference = harmonic_fusion([c_e, c_x, y_b_star])
-    te = factual - reference
-    nde = blocked - reference
-    return EffectBundle(te=te, nde=nde, tie=te - nde, variant="full")
+    expected = (("factual", factual, "factual"), ("counterfactual", counterfactual, "counterfactual"),
+                ("reference", reference, "counterfactual"))
+    for name, logits, scenario in expected:
+        if logits.scenario != scenario:
+            raise ContractError(f"effects: {name} must be a {scenario} evaluation, got {logits.scenario!r}")
+    f, cf, ref = factual.fused.data, counterfactual.fused.data, reference.fused.data
+    if not f.shape == cf.shape == ref.shape:
+        raise ContractError(f"effects: scenario shape mismatch: {f.shape}, {cf.shape}, {ref.shape}")
+    return EffectBundle(te=f - ref, nde=cf - ref, tie=f - cf)
 
 
 def inference_records(
@@ -152,24 +78,19 @@ def inference_records(
     tie vector, the te/tie/factual labels, and the matched lexicon
     categories — the JSONL schema emitted by the CLI.
     """
-    f = _fused(factual)
-    cf = _fused(counterfactual)
-    ref = _fused(reference)
-    if not (f.shape == cf.shape == ref.shape) or f.ndim != 2:
+    bundle = effects(factual, counterfactual, reference)
+    if bundle.tie.ndim != 2:
         raise ContractError("inference_records needs three aligned [batch, 2] evaluations")
-    te = f - ref
-    tie = f - cf
-    records = []
-    for i in range(f.shape[0]):
-        records.append(
-            {
-                "fused_factual": f[i].tolist(),
-                "fused_counterfactual": cf[i].tolist(),
-                "tie": tie[i].tolist(),
-                "te_label": argmax_label(te[i]),
-                "tie_label": argmax_label(tie[i]),
-                "factual_label": argmax_label(f[i]),
-                "categories": sorted(categories[i]),
-            }
-        )
-    return records
+    f, cf = factual.fused.data, counterfactual.fused.data
+    return [
+        {
+            "fused_factual": f[i].tolist(),
+            "fused_counterfactual": cf[i].tolist(),
+            "tie": bundle.tie[i].tolist(),
+            "te_label": argmax_label(bundle.te[i]),
+            "tie_label": argmax_label(bundle.tie[i]),
+            "factual_label": argmax_label(f[i]),
+            "categories": sorted(categories[i]),
+        }
+        for i in range(f.shape[0])
+    ]

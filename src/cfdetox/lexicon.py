@@ -10,17 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from cfdetox.errors import ParseError, ValidationError
 
 CATEGORIES = ("nOI", "OI", "OnI")
-
-
-@dataclass(frozen=True)
-class LexiconEntry:
-    surface: str
-    category: str
 
 
 @dataclass(frozen=True)
@@ -49,10 +43,6 @@ class Lexicon:
 
     def __contains__(self, surface: str) -> bool:
         return surface in self.entries
-
-    def __iter__(self) -> Iterator[LexiconEntry]:
-        for surface, category in self.entries.items():
-            yield LexiconEntry(surface, category)
 
     def category(self, surface: str) -> str:
         return self.entries[surface]

@@ -41,7 +41,6 @@ class ModelConfig:
     vocab_size: int
     embed_dim: int = 128
     hidden: int = 256
-    dropout: float = 0.1
 
 
 @dataclass
@@ -58,13 +57,15 @@ class ScenarioLogits:
     """Per-branch 2-class scores plus their fusion, [batch, 2] each.
 
     In the counterfactual scenario ``y_e`` and ``y_x`` are the tiled
-    invariant responses, exactly equal across examples.
+    invariant responses, exactly equal across examples.  A training mode
+    without some head (see :mod:`cfdetox.training`) leaves its score, and
+    the fusion when it has fewer than two heads, as None.
     """
 
     y_e: Value | None
     y_x: Value | None
-    y_b: Value
-    fused: Value
+    y_b: Value | None
+    fused: Value | None
     scenario: Scenario
 
 
@@ -205,19 +206,29 @@ def branch_forward(
     through it; ``bias_grad_stop=False`` removes the stop so the analytic
     gradient equals the true derivative (finite-difference checks).
     """
-    n = b_pooled.data.shape[0]
-    y_b = mlp(A.stop_gradient(b_pooled) if bias_grad_stop else b_pooled, "b", params, drop)
-    if scenario == "factual":
-        if e is None or x_pooled is None:
-            raise ContractError("factual scenario needs the ensemble and pooled-sentence features")
-        y_e = mlp(e, "e", params, drop)
-        y_x = mlp(x_pooled, "x", params, drop)
-    elif scenario == "counterfactual":
-        y_e = A.tile_rows(params["const.c_e"], n)
-        y_x = A.tile_rows(params["const.c_x"], n)
-    else:
+    if scenario not in ("factual", "counterfactual"):
         raise ContractError(f"unknown scenario {scenario!r}")
-    return ScenarioLogits(y_e=y_e, y_x=y_x, y_b=y_b, fused=fuse(y_e, y_x, y_b), scenario=scenario)
+    y_b = mlp(A.stop_gradient(b_pooled) if bias_grad_stop else b_pooled, "b", params, drop)
+    if scenario == "counterfactual":
+        return counterfactual_logits(params, y_b)
+    if e is None or x_pooled is None:
+        raise ContractError("factual scenario needs the ensemble and pooled-sentence features")
+    y_e = mlp(e, "e", params, drop)
+    y_x = mlp(x_pooled, "x", params, drop)
+    return ScenarioLogits(y_e=y_e, y_x=y_x, y_b=y_b, fused=fuse(y_e, y_x, y_b), scenario="factual")
+
+
+def counterfactual_logits(params: dict[str, Value], y_b: Value) -> ScenarioLogits:
+    """The counterfactual scenario for a bias score ``y_b`` [batch, 2].
+
+    The ensemble and sentence heads are blocked and answer with the
+    invariant responses c_e/c_x, tiled over the batch; the fusion is the
+    only place the counterfactual score is built.
+    """
+    n = y_b.data.shape[0]
+    y_e = A.tile_rows(params["const.c_e"], n)
+    y_x = A.tile_rows(params["const.c_x"], n)
+    return ScenarioLogits(y_e=y_e, y_x=y_x, y_b=y_b, fused=fuse(y_e, y_x, y_b), scenario="counterfactual")
 
 
 def ccdf_forward(

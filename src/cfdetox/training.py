@@ -1,7 +1,8 @@
 """Training loop, baseline modes, and checkpoint evaluation.
 
 Training always runs the factual scenario; the counterfactual machinery is
-used at evaluation time only.  Modes:
+used at evaluation time only (plus the invariant-response calibration
+term).  Every per-mode decision lives in ``MODE_SPECS``:
 
 * ``ccdf``     — three branches, four-term loss, effect-subtraction (tie)
                  inference, model selection by validation F1 under tie.
@@ -14,7 +15,7 @@ used at evaluation time only.  Modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -30,8 +31,33 @@ from cfdetox.metrics import Confusion, EvalReport, build_report, f1_binary
 from cfdetox.model import DropoutCtx, ModelConfig, ScenarioLogits
 from cfdetox.optim import AdamWState, adamw_step
 
-MODES = ("ccdf", "masking", "lmixin", "vanilla")
 INFERENCE_RULES = ("tie", "te", "factual")
+
+
+@dataclass(frozen=True)
+class ModeSpec:
+    """Everything that differs between training modes.
+
+    The heads decide the forward pass (see :func:`mode_forward`).  Modes
+    with invariant responses have a counterfactual scenario, hence effect
+    records and every inference rule; the others predict from the sentence
+    head alone.
+    """
+
+    branches: tuple[str, ...]  # MLP heads, in checkpoint order
+    invariant_responses: bool = False  # const.c_e/const.c_x exist and are trained
+    rules: tuple[str, ...] = ("factual",)  # inference rules the checkpoint supports
+    selection_rule: str = "factual"  # rule whose validation F1 picks the checkpoint
+    mask_bias: bool = False  # training batches replace lexicon matches by UNK
+
+
+MODE_SPECS: dict[str, ModeSpec] = {
+    "ccdf": ModeSpec(("e", "x", "b"), invariant_responses=True, rules=INFERENCE_RULES, selection_rule="tie"),
+    "masking": ModeSpec(("x",), mask_bias=True),
+    "lmixin": ModeSpec(("x", "b")),
+    "vanilla": ModeSpec(("x",)),
+}
+MODES = tuple(MODE_SPECS)
 
 EVAL_BATCH_SIZE = 64
 
@@ -67,25 +93,15 @@ class TrainConfig:
         if self.learning_rate <= 0:
             raise ValidationError(f"learning_rate must be positive, got {self.learning_rate}")
 
+    @property
+    def spec(self) -> ModeSpec:
+        return MODE_SPECS[self.mode]
+
     def model_config(self, vocab_size: int) -> ModelConfig:
-        return ModelConfig(
-            vocab_size=vocab_size,
-            embed_dim=self.embed_dim,
-            hidden=self.hidden,
-            dropout=self.dropout,
-        )
+        return ModelConfig(vocab_size=vocab_size, embed_dim=self.embed_dim, hidden=self.hidden)
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-def branches_for_mode(mode: str) -> tuple[tuple[str, ...], bool]:
-    """(branch heads, whether invariant responses exist) per mode."""
-    if mode == "ccdf":
-        return ("e", "x", "b"), True
-    if mode == "lmixin":
-        return ("x", "b"), False
-    return ("x",), False
 
 
 # ---------------------------------------------------------------------------
@@ -100,16 +116,21 @@ def _check_labels(labels: np.ndarray) -> np.ndarray:
 
 
 def loss_terms(logits: ScenarioLogits, labels: np.ndarray) -> dict[str, Value]:
-    """The four factual cross-entropy terms keyed f/e/x/b."""
+    """Factual cross-entropy terms keyed f/e/x/b, in that order; a score
+    the mode does not have (None) has no term."""
     if logits.scenario != "factual":
         raise ContractError("losses are defined on the factual scenario")
     labels = _check_labels(labels)
-    return {
-        "f": A.cross_entropy(logits.fused, labels),
-        "e": A.cross_entropy(logits.y_e, labels),
-        "x": A.cross_entropy(logits.y_x, labels),
-        "b": A.cross_entropy(logits.y_b, labels),
-    }
+    scores = {"f": logits.fused, "e": logits.y_e, "x": logits.y_x, "b": logits.y_b}
+    return {key: A.cross_entropy(score, labels) for key, score in scores.items() if score is not None}
+
+
+def _sum_terms(terms: dict[str, Value]) -> Value:
+    values = iter(terms.values())
+    out = next(values)
+    for term in values:
+        out = A.add(out, term)
+    return out
 
 
 def total_loss(logits: ScenarioLogits, labels: np.ndarray) -> Value:
@@ -118,11 +139,7 @@ def total_loss(logits: ScenarioLogits, labels: np.ndarray) -> Value:
     The bias-branch term cannot reach the encoder: the bias head's input
     carries a gradient stop (see model.branch_forward).
     """
-    terms = loss_terms(logits, labels)
-    out = terms["f"]
-    for key in ("e", "x", "b"):
-        out = A.add(out, terms[key])
-    return out
+    return _sum_terms(loss_terms(logits, labels))
 
 
 def invariant_response_loss(logits: ScenarioLogits, params: dict[str, Value], labels: np.ndarray) -> Value:
@@ -133,13 +150,8 @@ def invariant_response_loss(logits: ScenarioLogits, params: dict[str, Value], la
     const.c_e and const.c_x, so the four-term loss contract and the
     gradient-stop guarantee are untouched.
     """
-    n = logits.y_b.data.shape[0]
-    fused_cf = M.fuse(
-        A.tile_rows(params["const.c_e"], n),
-        A.tile_rows(params["const.c_x"], n),
-        A.stop_gradient(logits.y_b),
-    )
-    return A.cross_entropy(fused_cf, _check_labels(labels))
+    counterfactual = M.counterfactual_logits(params, A.stop_gradient(logits.y_b))
+    return A.cross_entropy(counterfactual.fused, _check_labels(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +178,19 @@ def lmixin_forward(
     return y_x, y_b, M.fuse(y_x, y_b)
 
 
+def mode_forward(
+    spec: ModeSpec, params: dict[str, Value], batch: EncodedBatch, drop: DropoutCtx | None = None
+) -> ScenarioLogits:
+    """Factual scores of the mode's heads; a head the mode lacks is None."""
+    if "e" in spec.branches:
+        return M.ccdf_forward(params, batch, "factual", drop)
+    if "b" in spec.branches:
+        y_x, y_b, fused = lmixin_forward(params, batch, drop)
+        return ScenarioLogits(y_e=None, y_x=y_x, y_b=y_b, fused=fused, scenario="factual")
+    y_x = sentence_branch_forward(params, batch, drop)
+    return ScenarioLogits(y_e=None, y_x=y_x, y_b=None, fused=None, scenario="factual")
+
+
 # ---------------------------------------------------------------------------
 # prediction
 # ---------------------------------------------------------------------------
@@ -179,25 +204,25 @@ def predict_batch(
 ) -> list[dict]:
     """Inference records for one encoded batch (dropout off).
 
-    For ccdf checkpoints all three rules come from one sweep (factual,
-    counterfactual, and NOBIAS-reference evaluations); single-branch modes
-    support only ``factual``.
+    With invariant responses all three rules come from one sweep: the
+    factual pass, the counterfactual built from the factual pass's bias
+    score, and the NOBIAS-reference pass.  Other modes support only
+    ``factual``, read off the sentence head.
     """
     if inference not in INFERENCE_RULES:
         raise ValidationError(f"unknown inference rule {inference!r}; expected one of {INFERENCE_RULES}")
+    if mode not in MODE_SPECS:
+        raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
+    spec = MODE_SPECS[mode]
+    if inference not in spec.rules:
+        raise ValidationError(f"inference {inference!r} requires a ccdf checkpoint, not mode {mode!r}")
     categories = categories if categories is not None else [[] for _ in range(len(batch.labels))]
-    if mode == "ccdf":
+    if spec.invariant_responses:
         factual = M.ccdf_forward(params, batch, "factual")
-        counterfactual = M.ccdf_forward(params, batch, "counterfactual")
+        counterfactual = M.counterfactual_logits(params, factual.y_b)
         reference = M.ccdf_forward(params, nobias_batch(batch), "counterfactual")
         return inference_records(factual, counterfactual, reference, categories)
-    if inference != "factual":
-        raise ValidationError(f"inference {inference!r} requires a ccdf checkpoint, not mode {mode!r}")
-    if mode == "lmixin":
-        y_x, _, _ = lmixin_forward(params, batch)
-        scores = y_x.data
-    else:
-        scores = sentence_branch_forward(params, batch).data
+    scores = sentence_branch_forward(params, batch).data
     return [
         {"factual_label": argmax_label(scores[i]), "categories": sorted(categories[i])}
         for i in range(scores.shape[0])
@@ -219,10 +244,10 @@ def evaluate(
     """Full evaluation of a parameter set on a dataset.
 
     Subsets are defined by the presence of at least one lexicon token of
-    each category; an example may fall in several subsets.  For ccdf
-    checkpoints the report also carries overall accuracy/F1 under every
-    rule for comparison.  ``report.records`` holds the per-example
-    inference records, in dataset order.
+    each category; an example may fall in several subsets.  When the mode
+    supports several inference rules the report also carries overall
+    accuracy/F1 under each of them for comparison.  ``report.records``
+    holds the per-example inference records, in dataset order.
     """
     if not examples:
         raise ValidationError("cannot evaluate an empty dataset")
@@ -236,8 +261,8 @@ def evaluate(
     predictions = [_record_label(r, inference) for r in records]
     report = build_report(predictions, labels, [r["categories"] for r in records], config.mode, inference)
     report.records = records
-    if config.mode == "ccdf":
-        for rule in INFERENCE_RULES:
+    if len(config.spec.rules) > 1:
+        for rule in config.spec.rules:
             conf = Confusion.from_pairs([_record_label(r, rule) for r in records], labels)
             report.by_rule[rule] = {
                 "accuracy": (conf.tp + conf.tn) / conf.size,
@@ -268,13 +293,8 @@ class TrainResult:
     best_val_f1: float | None
 
 
-def _selection_inference(mode: str) -> str:
-    return "tie" if mode == "ccdf" else "factual"
-
-
 def _validation_f1(params, config, valid, lexicon, vocab) -> float | None:
-    report = evaluate(params, config, valid, lexicon, vocab, _selection_inference(config.mode))
-    return report.f1_binary
+    return evaluate(params, config, valid, lexicon, vocab, config.spec.selection_rule).f1_binary
 
 
 def train(
@@ -296,12 +316,12 @@ def train(
     vocab = Vocab.build(train_set)
     seed_seq = np.random.SeedSequence(config.seed)
     init_seq, shuffle_seq = seed_seq.spawn(2)
-    branches, consts = branches_for_mode(config.mode)
+    spec = config.spec
     params = M.init_params(
         config.model_config(len(vocab)),
         np.random.Generator(np.random.PCG64(init_seq)),
-        branches=branches,
-        consts=consts,
+        branches=spec.branches,
+        consts=spec.invariant_responses,
     )
     opt = AdamWState(
         lr=config.learning_rate,
@@ -333,31 +353,14 @@ def train(
         for start in range(0, len(order), config.batch_size):
             step += 1
             chunk = [train_set[i] for i in order[start : start + config.batch_size]]
-            batch = encode_batch(
-                chunk, lexicon, vocab, config.lx, config.lb,
-                mask_bias=(config.mode == "masking"),
-            )
+            batch = encode_batch(chunk, lexicon, vocab, config.lx, config.lb, mask_bias=spec.mask_bias)
             drop = DropoutCtx(config.dropout, config.seed, step) if config.dropout > 0 else None
             try:
-                if config.mode == "ccdf":
-                    logits = M.ccdf_forward(params, batch, "factual", drop)
-                    terms = loss_terms(logits, batch.labels)
-                    loss = terms["f"]
-                    for key in ("e", "x", "b"):
-                        loss = A.add(loss, terms[key])
+                logits = mode_forward(spec, params, batch, drop)
+                terms = loss_terms(logits, batch.labels)
+                loss = _sum_terms(terms)
+                if spec.invariant_responses:
                     loss = A.add(loss, invariant_response_loss(logits, params, batch.labels))
-                elif config.mode == "lmixin":
-                    y_x, y_b, fused = lmixin_forward(params, batch, drop)
-                    terms = {
-                        "f": A.cross_entropy(fused, batch.labels),
-                        "x": A.cross_entropy(y_x, batch.labels),
-                        "b": A.cross_entropy(y_b, batch.labels),
-                    }
-                    loss = A.add(A.add(terms["f"], terms["x"]), terms["b"])
-                else:
-                    y_x = sentence_branch_forward(params, batch, drop)
-                    terms = {"x": A.cross_entropy(y_x, batch.labels)}
-                    loss = terms["x"]
             except DomainError as exc:
                 raise NumericsError(f"non-finite values in the forward pass at step {step}: {exc}") from exc
             if not np.isfinite(loss.data):

@@ -2,7 +2,10 @@
 
 import numpy as np
 
+from cfdetox import autodiff as A
 from cfdetox.data import EncodedBatch, Example
+from cfdetox.effects import EffectBundle, effects, harmonic_fusion
+from cfdetox.model import ScenarioLogits
 
 
 def make_batch(rng: np.random.Generator, n: int = 2, vocab_size: int = 12,
@@ -27,3 +30,24 @@ def make_batch(rng: np.random.Generator, n: int = 2, vocab_size: int = 12,
 
 def examples_from(texts_labels) -> list[Example]:
     return [Example.from_text(t, y) for t, y in texts_labels]
+
+
+def scenario_logits(fused, scenario: str) -> ScenarioLogits:
+    """Fused scores wrapped as one scenario's evaluation."""
+    v = A.const(np.asarray(fused, dtype=np.float64))
+    return ScenarioLogits(y_e=None, y_x=None, y_b=v, fused=v, scenario=scenario)
+
+
+def graph_effects(live, blocked, y_b, y_b_star) -> EffectBundle:
+    """``effects`` for one example of a causal graph built on the numpy fusion.
+
+    ``live`` holds the context heads' factual scores and ``blocked`` their
+    invariant responses: two heads for the full graph, one when an ablation
+    drops the ensemble (no_Fe) or sentence (no_Fx) head.  ``y_b_star`` is
+    the bias head's response to the NOBIAS input.
+    """
+    return effects(
+        scenario_logits(harmonic_fusion([*live, y_b]), "factual"),
+        scenario_logits(harmonic_fusion([*blocked, y_b]), "counterfactual"),
+        scenario_logits(harmonic_fusion([*blocked, y_b_star]), "counterfactual"),
+    )

@@ -22,7 +22,7 @@ from cfdetox.cli import main
 from cfdetox.data import encode_batch, nobias_batch
 from cfdetox.lexicon import load_lexicon, match_biased_tokens
 from cfdetox.metrics import Confusion, accuracy, f1_binary, fpr
-from helpers import make_batch
+from helpers import graph_effects, make_batch
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -131,18 +131,14 @@ def test_causal_identity():
             f = M.ccdf_forward(params, batch, "factual")
             cf = M.ccdf_forward(params, batch, "counterfactual")
             ref = M.ccdf_forward(params, nobias_batch(batch), "counterfactual")
-            te = E.total_effect(f, ref)[0]
-            nde = E.natural_direct_effect(cf, ref)[0]
-            tie = (f.fused.data - cf.fused.data)[0]
+            bundle = E.effects(f, cf, ref)
         else:
             y_e, y_x, y_b, c_e, c_x, y_b_star = (rng.normal(size=2) * 2 for _ in range(6))
-            bundle = E.full_effects(y_e, y_x, y_b, c_e, c_x, y_b_star)
-            te, nde = bundle.te, bundle.nde
-            tie = E.harmonic_fusion([y_e, y_x, y_b]) - E.harmonic_fusion([c_e, c_x, y_b])
-        worst = max(worst, np.abs(tie - (te - nde)).max())
+            bundle = graph_effects((y_e, y_x), (c_e, c_x), y_b, y_b_star)
+        worst = max(worst, np.abs(bundle.tie - (bundle.te - bundle.nde)).max())
         for variant in ("no_Fe", "no_Fx"):
             y_live, y_b, c_blk, y_b_star = (rng.normal(size=2) * 2 for _ in range(4))
-            bundle = E.ablated_effects(variant, y_live, y_b, c_blk, y_b_star)
+            bundle = graph_effects((y_live,), (c_blk,), y_b, y_b_star)
             direct = E.harmonic_fusion([y_live, y_b]) - E.harmonic_fusion([c_blk, y_b])
             worst = max(worst, np.abs(bundle.tie - (bundle.te - bundle.nde)).max())
             worst = max(worst, np.abs(bundle.tie - direct).max())

@@ -286,6 +286,16 @@ def test_infer_no_match_keeps_te_and_tie_equal(run_dir, corpus_dir, capsys):
         np.asarray(record["fused_factual"]) - np.asarray(record["fused_counterfactual"]))
 
 
+def test_infer_reserved_surface_reads_as_unknown_word(run_dir, corpus_dir, capsys):
+    for text in ("<pad>", "the <nobias> <sep> was dreadful"):
+        rc = main(["infer", "--checkpoint", str(run_dir / "model.bin"),
+                   "--lexicon", str(corpus_dir / "lexicon.csv"), "--text", text])
+        assert rc == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["biased_tokens"] == []
+        assert record["te_label"] == record["tie_label"]
+
+
 def test_infer_deterministic(run_dir, corpus_dir, capsys):
     args = ["infer", "--checkpoint", str(run_dir / "model.bin"),
             "--lexicon", str(corpus_dir / "lexicon.csv"),

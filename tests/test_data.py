@@ -17,6 +17,7 @@ from cfdetox.data import (
     tokenize,
 )
 from cfdetox.errors import ParseError, ValidationError
+from cfdetox.lexicon import Lexicon
 from helpers import examples_from
 
 
@@ -133,6 +134,18 @@ def test_encode_empty_bias_uses_nobias(tiny_lexicon):
     batch = encode_batch(examples, tiny_lexicon, vocab, 8, 4)
     assert batch.b_ids[0].tolist() == [D.NOBIAS_ID]
     assert batch.b_mask[0].tolist() == [1]
+
+
+def test_encode_reserved_surfaces_in_text_as_unk():
+    lexicon = Lexicon({"<sep>": "OI", "zorp": "nOI"})
+    examples = examples_from([("<pad> hello <sep> <nobias> <unk> zorp", 1), ("<pad>", 0)])
+    vocab = Vocab.build(examples)
+    batch = encode_batch(examples, lexicon, vocab, 8, 8)
+    unk, hello, zorp = D.UNK_ID, vocab.id("hello"), vocab.id("zorp")
+    assert batch.x_ids.tolist() == [[unk, hello, unk, unk, unk, zorp], [unk, 0, 0, 0, 0, 0]]
+    assert batch.x_mask.tolist() == [[1] * 6, [1, 0, 0, 0, 0, 0]]
+    assert batch.b_ids.tolist() == [[unk, D.SEP_ID, zorp], [D.NOBIAS_ID, 0, 0]]
+    assert [vocab.id(t) for t in D.RESERVED] == [unk] * len(D.RESERVED)
 
 
 def test_encode_truncates_long_sentence(tiny_lexicon):

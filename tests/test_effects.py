@@ -1,27 +1,11 @@
 import numpy as np
 import pytest
 
-from cfdetox import data as D
 from cfdetox import effects as E
 from cfdetox.data import encode_batch, nobias_batch, Vocab
-from cfdetox.errors import ContractError, ValidationError
-from cfdetox.model import ModelConfig, ScenarioLogits, ccdf_forward, init_params
-from cfdetox import autodiff as A
-from helpers import examples_from, make_batch
-
-
-def fake_logits(fused, scenario):
-    v = A.const(np.asarray(fused, dtype=np.float64))
-    return ScenarioLogits(y_e=None, y_x=None, y_b=v, fused=v, scenario=scenario)
-
-
-def random_model(seed, vocab=10):
-    cfg = ModelConfig(vocab_size=vocab, embed_dim=4, hidden=6)
-    rng = np.random.default_rng(seed)
-    params = init_params(cfg, rng)
-    for v in params.values():
-        v.data = v.data + rng.normal(0, 0.5, v.data.shape)
-    return params, rng
+from cfdetox.errors import ContractError
+from cfdetox.model import ccdf_forward
+from helpers import examples_from, graph_effects, make_batch, scenario_logits as fake_logits
 
 
 # ---------------------------------------------------------------------------
@@ -31,22 +15,35 @@ def random_model(seed, vocab=10):
 def test_total_effect_self_difference_is_zero():
     f = fake_logits([[-1.0, 2.0]], "factual")
     r = fake_logits([[-1.0, 2.0]], "counterfactual")
-    assert E.total_effect(f, r).tolist() == [[0.0, 0.0]]
+    assert E.effects(f, r, r).te.tolist() == [[0.0, 0.0]]
 
 
 def test_total_effect_arithmetic():
     f = fake_logits([-1.0, -2.0], "factual")
+    cf = fake_logits([-2.5, -2.5], "counterfactual")
     r = fake_logits([-3.0, -3.0], "counterfactual")
-    assert E.total_effect(f, r).tolist() == [2.0, 1.0]
+    bundle = E.effects(f, cf, r)
+    assert bundle.te.tolist() == [2.0, 1.0]
+    assert bundle.nde.tolist() == [0.5, 0.5]
+    assert bundle.tie.tolist() == [1.5, 0.5]
 
 
 def test_total_effect_scenario_contract():
     f = fake_logits([0.0, 0.0], "factual")
-    with pytest.raises(ContractError):
-        E.total_effect(f, f)
     r = fake_logits([0.0, 0.0], "counterfactual")
-    with pytest.raises(ContractError):
-        E.total_effect(r, r)
+    with pytest.raises(ContractError, match="reference"):
+        E.effects(f, r, f)
+    with pytest.raises(ContractError, match="factual"):
+        E.effects(r, r, r)
+
+
+def test_effects_shape_contract():
+    f = fake_logits([[0.0, 1.0]], "factual")
+    r = fake_logits([0.0, 1.0], "counterfactual")
+    with pytest.raises(ContractError, match="shape"):
+        E.effects(f, r, r)
+    with pytest.raises(ContractError, match="shape"):
+        E.effects(f, fake_logits([[0.0, 1.0]], "counterfactual"), r)
 
 
 # ---------------------------------------------------------------------------
@@ -57,16 +54,17 @@ def test_nde_zero_when_bias_equals_reference(tiny_params):
     rng = np.random.default_rng(0)
     batch = make_batch(rng, n=3)
     ref_batch = nobias_batch(batch)
+    f = ccdf_forward(tiny_params, ref_batch, "factual")
     cf = ccdf_forward(tiny_params, ref_batch, "counterfactual")
     ref = ccdf_forward(tiny_params, nobias_batch(ref_batch), "counterfactual")
-    assert (E.natural_direct_effect(cf, ref) == 0).all()
+    assert (E.effects(f, cf, ref).nde == 0).all()
 
 
 def test_nde_rejects_factual_logits():
     f = fake_logits([0.0, 0.0], "factual")
     r = fake_logits([0.0, 0.0], "counterfactual")
-    with pytest.raises(ContractError):
-        E.natural_direct_effect(f, r)
+    with pytest.raises(ContractError, match="counterfactual"):
+        E.effects(f, f, r)
 
 
 def test_nde_depends_only_on_bias_tokens(tiny_params):
@@ -75,13 +73,13 @@ def test_nde_depends_only_on_bias_tokens(tiny_params):
         a = make_batch(rng, n=1)
         b = make_batch(rng, n=1)
         b = type(b)(x_ids=b.x_ids, b_ids=a.b_ids, x_mask=b.x_mask, b_mask=a.b_mask, labels=b.labels)
-        ref_a = ccdf_forward(tiny_params, nobias_batch(a), "counterfactual")
-        ref_b = ccdf_forward(tiny_params, nobias_batch(b), "counterfactual")
-        cf_a = ccdf_forward(tiny_params, a, "counterfactual")
-        cf_b = ccdf_forward(tiny_params, b, "counterfactual")
-        nde_a = E.natural_direct_effect(cf_a, ref_a)
-        nde_b = E.natural_direct_effect(cf_b, ref_b)
-        assert (nde_a == nde_b).all()
+        nde = []
+        for batch in (a, b):
+            f = ccdf_forward(tiny_params, batch, "factual")
+            cf = ccdf_forward(tiny_params, batch, "counterfactual")
+            ref = ccdf_forward(tiny_params, nobias_batch(batch), "counterfactual")
+            nde.append(E.effects(f, cf, ref).nde)
+        assert (nde[0] == nde[1]).all()
 
 
 def test_nde_recomputed_from_fusion_definition():
@@ -90,9 +88,9 @@ def test_nde_recomputed_from_fusion_definition():
     y_b_star = np.array([0.1, 0.2])
     c_e = np.array([0.5, 0.5])
     c_x = np.array([0.4, 0.6])
-    cf = fake_logits(E.harmonic_fusion([c_e, c_x, y_b]), "counterfactual")
-    ref = fake_logits(E.harmonic_fusion([c_e, c_x, y_b_star]), "counterfactual")
-    got = E.natural_direct_effect(cf, ref)
+    y_e = np.array([0.9, -0.2])
+    y_x = np.array([0.3, 0.7])
+    got = graph_effects((y_e, y_x), (c_e, c_x), y_b, y_b_star).nde
     def h(z):
         z = max(z, 1e-12)
         return np.log(z) - np.log(1 + z)
@@ -105,7 +103,7 @@ def test_nde_recomputed_from_fusion_definition():
 
 
 # ---------------------------------------------------------------------------
-# debiased prediction
+# debiased prediction (tie)
 # ---------------------------------------------------------------------------
 
 def test_uniform_counterfactual_shift_preserves_argmax():
@@ -115,23 +113,23 @@ def test_uniform_counterfactual_shift_preserves_argmax():
         k = rng.normal()
         f = fake_logits(fused, "factual")
         cf = fake_logits([k, k], "counterfactual")
-        _, label = E.debiased_prediction(f, cf)
-        assert label == E.argmax_label(fused)
+        ref = fake_logits(rng.normal(size=2), "counterfactual")
+        assert E.argmax_label(E.effects(f, cf, ref).tie) == E.argmax_label(fused)
 
 
 def test_tie_break_toward_nontoxic():
     f = fake_logits([0.7, 0.7], "factual")
     cf = fake_logits([0.7, 0.7], "counterfactual")
-    tie, label = E.debiased_prediction(f, cf)
+    tie = E.effects(f, cf, cf).tie
     assert tie.tolist() == [0.0, 0.0]
-    assert label == 0
+    assert E.argmax_label(tie) == 0
 
 
 def test_debiased_prediction_scenario_contract():
     f = fake_logits([0.0, 1.0], "factual")
     cf = fake_logits([0.0, 1.0], "counterfactual")
     with pytest.raises(ContractError):
-        E.debiased_prediction(cf, f)
+        E.effects(cf, f, cf)
 
 
 def test_tie_equals_te_minus_nde_through_model(tiny_params):
@@ -141,16 +139,13 @@ def test_tie_equals_te_minus_nde_through_model(tiny_params):
         f = ccdf_forward(tiny_params, batch, "factual")
         cf = ccdf_forward(tiny_params, batch, "counterfactual")
         ref = ccdf_forward(tiny_params, nobias_batch(batch), "counterfactual")
-        te = E.total_effect(f, ref)
-        nde = E.natural_direct_effect(cf, ref)
-        tie, _ = E.debiased_prediction(
-            fake_logits(f.fused.data[0], "factual"), fake_logits(cf.fused.data[0], "counterfactual")
-        )
-        assert np.abs((te - nde)[0] - tie).max() <= 1e-12
+        bundle = E.effects(f, cf, ref)
+        assert (bundle.tie == f.fused.data - cf.fused.data).all()
+        assert np.abs(bundle.te - bundle.nde - bundle.tie).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
-# ablated variants
+# ablated graphs: one context head dropped from the fusion
 # ---------------------------------------------------------------------------
 
 def test_ablated_no_fx_nde_vanishes_on_nobias():
@@ -158,45 +153,37 @@ def test_ablated_no_fx_nde_vanishes_on_nobias():
     y_e = rng.normal(size=2)
     c_e = rng.normal(size=2)
     y_b_star = rng.normal(size=2)
-    bundle = E.ablated_effects("no_Fx", y_e, y_b_star, c_e, y_b_star)
+    bundle = graph_effects((y_e,), (c_e,), y_b_star, y_b_star)
     assert (bundle.nde == 0).all()
     assert bundle.tie == pytest.approx(bundle.te, abs=1e-15)
 
 
 def test_ablated_identity_te_minus_nde():
     rng = np.random.default_rng(5)
-    for variant in ("no_Fe", "no_Fx"):
+    for _variant in ("no_Fe", "no_Fx"):
         for _ in range(100):
-            args = [rng.normal(size=2) for _ in range(4)]
-            bundle = E.ablated_effects(variant, *args)
+            y_live, y_b, c_blocked, y_b_star = (rng.normal(size=2) for _ in range(4))
+            bundle = graph_effects((y_live,), (c_blocked,), y_b, y_b_star)
             assert np.abs(bundle.tie - (bundle.te - bundle.nde)).max() <= 1e-12
-            assert bundle.variant == variant
 
 
 def test_ablated_no_fe_matches_two_branch_pipeline():
-    # the variant's algebra equals the generic factual-minus-blocked
+    # the ablated graph's tie equals the generic factual-minus-blocked
     # difference once the ensemble head is dropped from the product
     rng = np.random.default_rng(6)
     for _ in range(50):
         y_x, y_b, c_x, y_b_star = (rng.normal(size=2) for _ in range(4))
-        bundle = E.ablated_effects("no_Fe", y_x, y_b, c_x, y_b_star)
+        bundle = graph_effects((y_x,), (c_x,), y_b, y_b_star)
         direct = E.harmonic_fusion([y_x, y_b]) - E.harmonic_fusion([c_x, y_b])
         assert np.abs(bundle.tie - direct).max() <= 1e-12
-
-
-def test_ablated_unknown_variant():
-    z = np.zeros(2)
-    with pytest.raises(ValidationError):
-        E.ablated_effects("no_Fb", z, z, z, z)
 
 
 def test_full_effects_identity():
     rng = np.random.default_rng(7)
     for _ in range(100):
-        args = [rng.normal(size=2) for _ in range(6)]
-        bundle = E.full_effects(*args)
+        y_e, y_x, y_b, c_e, c_x, y_b_star = (rng.normal(size=2) for _ in range(6))
+        bundle = graph_effects((y_e, y_x), (c_e, c_x), y_b, y_b_star)
         assert np.abs(bundle.tie - (bundle.te - bundle.nde)).max() <= 1e-12
-        assert bundle.variant == "full"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,16 @@
 """Backend parity: the compiled kernels must match the pure-numpy fallback
-bit for bit (training determinism must not depend on the build)."""
+bit for bit (training determinism must not depend on the build).
+
+The compiled module is built from the tracked ``_fast.c`` with the flags
+``setup.py`` uses, so the parity tests run wherever a C compiler and the
+Python headers exist, with or without Cython.
+"""
+
+import importlib.util
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +18,31 @@ import pytest
 import cfdetox.kernels as K
 from cfdetox.kernels import pure
 
-compiled = pytest.importorskip("cfdetox.kernels._fast", reason="compiled extension not built")
+FAST_C = Path(K.__file__).with_name("_fast.c")
+
+
+@pytest.fixture(scope="module")
+def compiled(tmp_path_factory):
+    cc = shutil.which("cc")
+    include = sysconfig.get_paths()["include"]
+    if cc is None:
+        pytest.skip("no C compiler (cc) to build the kernel extension")
+    if not Path(include, "Python.h").exists():
+        pytest.skip(f"Python headers missing ({include}/Python.h)")
+    out = tmp_path_factory.mktemp("kernels") / ("_fast" + sysconfig.get_config_var("EXT_SUFFIX"))
+    # same flags as setup.py: no FP contraction keeps the bits of the numpy fallback
+    build = subprocess.run(
+        [cc, "-shared", "-fPIC", "-O3", "-ffp-contract=off",
+         "-DNPY_NO_DEPRECATED_API=NPY_1_7_API_VERSION",
+         f"-I{include}", f"-I{np.get_include()}", str(FAST_C), "-o", str(out)],
+        capture_output=True, text=True,
+    )
+    if build.returncode != 0:
+        pytest.fail(f"building {FAST_C.name} failed:\n{build.stderr}")
+    spec = importlib.util.spec_from_file_location("cfdetox.kernels._fast", out)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_backend_selected():
@@ -23,7 +58,7 @@ def test_scatter_accumulates_duplicates():
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_scatter_parity(seed):
+def test_scatter_parity(compiled, seed):
     rng = np.random.default_rng(seed)
     ids = rng.integers(0, 20, size=300).astype(np.int64)
     rows = rng.normal(size=(300, 8))
@@ -35,7 +70,7 @@ def test_scatter_parity(seed):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_adamw_parity_over_steps(seed):
+def test_adamw_parity_over_steps(compiled, seed):
     rng = np.random.default_rng(seed)
     n = 257
     p1 = rng.normal(size=n); p2 = p1.copy()
@@ -51,7 +86,7 @@ def test_adamw_parity_over_steps(seed):
     assert (v1 == v2).all()
 
 
-def test_adamw_parity_zero_decay():
+def test_adamw_parity_zero_decay(compiled):
     p1 = np.array([1.0, -1.0]); p2 = p1.copy()
     m1 = np.zeros(2); m2 = np.zeros(2)
     v1 = np.zeros(2); v2 = np.zeros(2)

@@ -7,16 +7,19 @@ import cfdetox.training as T
 from cfdetox import autodiff as A
 from cfdetox import model as M
 from cfdetox.checkpoint import save_params
-from cfdetox.data import encode_batch, generate_synthetic_corpus, synthetic_lexicon
+from cfdetox.data import encode_batch, generate_synthetic_corpus, nobias_batch, synthetic_lexicon
+from cfdetox.effects import inference_records
 from cfdetox.errors import ContractError, NumericsError, ValidationError
 from cfdetox.model import ScenarioLogits, ccdf_forward
 from cfdetox.training import (
+    INFERENCE_RULES,
+    MODE_SPECS,
     TrainConfig,
-    branches_for_mode,
     evaluate,
     invariant_response_loss,
     lmixin_forward,
     loss_terms,
+    mode_forward,
     predict_batch,
     sentence_branch_forward,
     total_loss,
@@ -117,10 +120,26 @@ def test_invariant_response_loss_reaches_only_the_responses(tiny_params):
 # ---------------------------------------------------------------------------
 
 def test_branches_per_mode():
-    assert branches_for_mode("ccdf") == (("e", "x", "b"), True)
-    assert branches_for_mode("lmixin") == (("x", "b"), False)
-    assert branches_for_mode("vanilla") == (("x",), False)
-    assert branches_for_mode("masking") == (("x",), False)
+    table = {mode: (spec.branches, spec.invariant_responses, spec.rules, spec.selection_rule, spec.mask_bias)
+             for mode, spec in MODE_SPECS.items()}
+    assert table == {
+        "ccdf": (("e", "x", "b"), True, ("tie", "te", "factual"), "tie", False),
+        "lmixin": (("x", "b"), False, ("factual",), "factual", False),
+        "vanilla": (("x",), False, ("factual",), "factual", False),
+        "masking": (("x",), False, ("factual",), "factual", True),
+    }
+
+
+def test_mode_forward_loss_terms_per_mode(tiny_params):
+    batch = make_batch(np.random.default_rng(9), n=3)
+    keys = {mode: list(loss_terms(mode_forward(spec, tiny_params, batch), batch.labels))
+            for mode, spec in MODE_SPECS.items()}
+    assert keys == {"ccdf": ["f", "e", "x", "b"], "lmixin": ["f", "x", "b"],
+                    "masking": ["x"], "vanilla": ["x"]}
+    # every mode's sentence head is the same function of the sentence
+    y_x = sentence_branch_forward(tiny_params, batch).data
+    for spec in MODE_SPECS.values():
+        assert (mode_forward(spec, tiny_params, batch).y_x.data == y_x).all()
 
 
 def test_config_rejects_unknown_mode():
@@ -263,7 +282,30 @@ def test_single_branch_checkpoint_rejects_tie_inference():
         evaluate(res.params, cfg, test_set, lexicon, res.vocab, "tie")
 
 
+def test_predict_batch_reuses_the_factual_bias_score():
+    # the counterfactual built from the factual pass's bias score must give
+    # the records of three separate forward passes, bit for bit
+    rng = np.random.default_rng(10)
+    for _ in range(20):
+        cfg = M.ModelConfig(vocab_size=11, embed_dim=5, hidden=6)
+        params = M.init_params(cfg, rng)
+        for v in params.values():
+            v.data = v.data + rng.normal(0, 0.5, v.data.shape)
+        batch = make_batch(rng, n=int(rng.integers(1, 9)), vocab_size=11, lx=7, lb=4)
+        cats = [["nOI"] if i % 2 else [] for i in range(len(batch.labels))]
+        expected = inference_records(
+            ccdf_forward(params, batch, "factual"),
+            ccdf_forward(params, batch, "counterfactual"),
+            ccdf_forward(params, nobias_batch(batch), "counterfactual"),
+            cats,
+        )
+        for rule in INFERENCE_RULES:
+            assert predict_batch(params, batch, "ccdf", rule, cats) == expected
+
+
 def test_predict_batch_unknown_rule(tiny_params, tiny_lexicon):
     batch = make_batch(np.random.default_rng(8), n=2)
     with pytest.raises(ValidationError):
         predict_batch(tiny_params, batch, "ccdf", "oracle")
+    with pytest.raises(ValidationError, match="unknown mode"):
+        predict_batch(tiny_params, batch, "secret", "factual")
