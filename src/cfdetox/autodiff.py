@@ -5,7 +5,7 @@ walks it once in reverse topological order and accumulates gradients into
 every reachable parameter.  The op set is exactly what the classifier
 needs: embedding lookup, affine maps, (batched) matmul, masked softmax,
 tanh, log, masked mean-pooling, elementwise arithmetic, dropout,
-softmax cross-entropy, and a gradient-stop marker.
+softmax cross-entropy, and a gradient stop.
 
 Everything is 64-bit; the models are tiny, so precision is cheaper than
 debugging.
@@ -34,10 +34,9 @@ class Value:
         grad: same-shape gradient array, allocated lazily by backward().
         op: provenance tag, useful in error messages and debugging.
         requires_grad: whether backward() should reach this node.
-        stop_grad: marker nodes stop propagation into their parents.
     """
 
-    __slots__ = ("data", "grad", "op", "requires_grad", "stop_grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "grad", "op", "requires_grad", "_parents", "_backward_fn")
 
     def __init__(
         self,
@@ -45,14 +44,12 @@ class Value:
         parents: tuple["Value", ...] = (),
         op: str = "leaf",
         requires_grad: bool = False,
-        stop_grad: bool = False,
         backward_fn: Callable[[np.ndarray], None] | None = None,
     ):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.op = op
         self.requires_grad = requires_grad
-        self.stop_grad = stop_grad
         self._parents = parents
         self._backward_fn = backward_fn
 
@@ -118,12 +115,11 @@ def embed(ids: np.ndarray, table: Value) -> Value:
     out_data = table.data[ids]
 
     def backward_fn(g: np.ndarray) -> None:
-        if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            flat_ids = np.ascontiguousarray(ids.reshape(-1), dtype=np.int64)
-            rows = np.ascontiguousarray(g.reshape(-1, table.data.shape[1]))
-            scatter_add_rows(table.grad, flat_ids, rows)
+        if table.grad is None:
+            table.grad = np.zeros_like(table.data)
+        flat_ids = np.ascontiguousarray(ids.reshape(-1), dtype=np.int64)
+        rows = np.ascontiguousarray(g.reshape(-1, table.data.shape[1]))
+        scatter_add_rows(table.grad, flat_ids, rows)
 
     return _node(out_data, (table,), "embed", backward_fn)
 
@@ -195,9 +191,8 @@ def softmax(x: Value, axis: int = -1, mask: np.ndarray | None = None) -> Value:
     out_data = e / e.sum(axis=axis, keepdims=True)
 
     def backward_fn(g: np.ndarray) -> None:
-        if x.requires_grad:
-            inner = (g * out_data).sum(axis=axis, keepdims=True)
-            x.accumulate((g - inner) * out_data)
+        inner = (g * out_data).sum(axis=axis, keepdims=True)
+        x.accumulate((g - inner) * out_data)
 
     return _node(out_data, (x,), "softmax", backward_fn)
 
@@ -206,8 +201,7 @@ def tanh(x: Value) -> Value:
     out_data = np.tanh(x.data)
 
     def backward_fn(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x.accumulate(g * (1.0 - out_data * out_data))
+        x.accumulate(g * (1.0 - out_data * out_data))
 
     return _node(out_data, (x,), "tanh", backward_fn)
 
@@ -219,8 +213,7 @@ def log(x: Value) -> Value:
     out_data = np.log(x.data)
 
     def backward_fn(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x.accumulate(g / x.data)
+        x.accumulate(g / x.data)
 
     return _node(out_data, (x,), "log", backward_fn)
 
@@ -240,9 +233,8 @@ def mean_pool(x: Value, mask: np.ndarray, axis: int) -> Value:
     out_data = (x.data * m).sum(axis=axis) / counts
 
     def backward_fn(g: np.ndarray) -> None:
-        if x.requires_grad:
-            ge = np.expand_dims(g / counts, axis)
-            x.accumulate(ge * m)
+        ge = np.expand_dims(g / counts, axis)
+        x.accumulate(ge * m)
 
     return _node(out_data, (x,), "mean_pool", backward_fn)
 
@@ -294,8 +286,7 @@ def clamp_min(x: Value, floor: float) -> Value:
     pass_mask = x.data > floor
 
     def backward_fn(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x.accumulate(g * pass_mask)
+        x.accumulate(g * pass_mask)
 
     return _node(out_data, (x,), "clamp_min", backward_fn)
 
@@ -307,8 +298,7 @@ def tile_rows(v: Value, n: int) -> Value:
     out_data = np.broadcast_to(v.data, (n, v.data.shape[0])).copy()
 
     def backward_fn(g: np.ndarray) -> None:
-        if v.requires_grad:
-            v.accumulate(g.sum(axis=0))
+        v.accumulate(g.sum(axis=0))
 
     return _node(out_data, (v,), "tile_rows", backward_fn)
 
@@ -323,16 +313,17 @@ DROPOUT_SITES = {
 }
 
 
-def dropout(x: Value, p: float, training: bool, seed: int = 0, step: int = 0, site: str = "enc_x") -> Value:
+def dropout(x: Value, p: float, seed: int = 0, step: int = 0, site: str = "enc_x") -> Value:
     """Inverted dropout with a counter-based mask.
 
     The mask stream is a Philox generator keyed by (seed, step, site), so a
     given (seed, step, site) always yields the same mask regardless of
-    execution history.  Identity when ``training`` is false or ``p`` == 0.
+    execution history.  Identity when ``p`` == 0; inference passes no
+    dropout context to the model, so it never reaches this op.
     """
     if not 0.0 <= p < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {p}")
-    if not training or p == 0.0:
+    if p == 0.0:
         return x
     key = (int(seed) << 64) | (int(step) << 8) | DROPOUT_SITES[site]
     rng = np.random.Generator(np.random.Philox(key=key))
@@ -341,8 +332,7 @@ def dropout(x: Value, p: float, training: bool, seed: int = 0, step: int = 0, si
     out_data = x.data * keep * scale
 
     def backward_fn(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x.accumulate(g * keep * scale)
+        x.accumulate(g * keep * scale)
 
     return _node(out_data, (x,), "dropout", backward_fn)
 
@@ -362,18 +352,18 @@ def cross_entropy(logits: Value, labels: np.ndarray) -> Value:
     out_data = np.asarray((lse - logits.data[np.arange(n), labels]).mean())
 
     def backward_fn(g: np.ndarray) -> None:
-        if logits.requires_grad:
-            probs = np.exp(shifted)
-            probs /= probs.sum(axis=1, keepdims=True)
-            probs[np.arange(n), labels] -= 1.0
-            logits.accumulate(probs * (float(g) / n))
+        probs = np.exp(shifted)
+        probs /= probs.sum(axis=1, keepdims=True)
+        probs[np.arange(n), labels] -= 1.0
+        logits.accumulate(probs * (float(g) / n))
 
     return _node(out_data, (logits,), "cross_entropy", backward_fn)
 
 
 def stop_gradient(x: Value) -> Value:
-    """Pass data through, block all gradient flow into ``x``."""
-    return Value(x.data, parents=(x,), op="stop_grad", requires_grad=False, stop_grad=True)
+    """A constant leaf over ``x``'s data: the forward value passes, no
+    gradient flows back into ``x``."""
+    return const(x.data, op="stop_grad")
 
 
 # ---------------------------------------------------------------------------
@@ -401,13 +391,12 @@ def backward(loss: Value) -> None:
             continue
         visited.add(id(node))
         stack.append((node, True))
-        if not node.stop_grad:
-            for parent in node._parents:
-                if parent.requires_grad and id(parent) not in visited:
-                    stack.append((parent, False))
+        for parent in node._parents:
+            if parent.requires_grad and id(parent) not in visited:
+                stack.append((parent, False))
     loss.accumulate(np.ones_like(loss.data))
     for node in reversed(order):
-        if node.stop_grad or node._backward_fn is None or node.grad is None:
+        if node._backward_fn is None or node.grad is None:
             continue
         node._backward_fn(node.grad)
     # intermediate grads are not part of the contract; free them

@@ -17,7 +17,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -259,7 +259,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         return 0
     scores = []
     for i in range(args.runs):
-        cfg_i = TrainConfig(**{**config.as_dict(), "seed": config.seed + i})
+        cfg_i = replace(config, seed=config.seed + i)
         result = _train_one(cfg_i, data_dir, run_dir / f"run{i:02d}")
         scores.append(result.best_val_f1 if result.best_val_f1 is not None else 0.0)
     print(f"best validation F1 over {args.runs} runs: "

@@ -20,9 +20,6 @@ PAD, UNK, SEP, NOBIAS = "<pad>", "<unk>", "<sep>", "<nobias>"
 RESERVED = (PAD, UNK, SEP, NOBIAS)
 PAD_ID, UNK_ID, SEP_ID, NOBIAS_ID = 0, 1, 2, 3
 
-DEFAULT_MAX_SENTENCE_LEN = 128
-DEFAULT_MAX_BIAS_LEN = 16
-
 
 def _strip_edge_punct(token: str) -> str:
     start, end = 0, len(token)
@@ -117,7 +114,7 @@ class Vocab:
         return self.tokens[idx]
 
     @classmethod
-    def build(cls, examples: Iterable[Example], min_freq: int = 1) -> "Vocab":
+    def build(cls, examples: Iterable[Example]) -> "Vocab":
         """Corpus-derived vocabulary, most frequent first (ties by spelling)."""
         counts = Counter()
         for ex in examples:
@@ -125,7 +122,7 @@ class Vocab:
         for reserved in RESERVED:
             counts.pop(reserved, None)
         ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        return cls(list(RESERVED) + [t for t, c in ordered if c >= min_freq])
+        return cls(list(RESERVED) + [t for t, _ in ordered])
 
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -167,8 +164,8 @@ def encode_batch(
     examples: Sequence[Example],
     lexicon: Lexicon,
     vocab: Vocab,
-    max_sentence_len: int = DEFAULT_MAX_SENTENCE_LEN,
-    max_bias_len: int = DEFAULT_MAX_BIAS_LEN,
+    max_sentence_len: int,
+    max_bias_len: int,
     mask_bias: bool = False,
 ) -> EncodedBatch:
     """Build (x_ids, b_ids, masks, labels) for a list of examples.

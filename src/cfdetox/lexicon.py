@@ -47,11 +47,6 @@ class Lexicon:
     def category(self, surface: str) -> str:
         return self.entries[surface]
 
-    def surfaces(self, category: str | None = None) -> list[str]:
-        if category is None:
-            return list(self.entries)
-        return [s for s, c in self.entries.items() if c == category]
-
 
 def load_lexicon(path: str | Path) -> Lexicon:
     """Read a ``surface,category`` file; ``#`` lines are comments.

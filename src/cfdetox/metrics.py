@@ -7,8 +7,7 @@ with no true negatives has no defined false-positive rate.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 from cfdetox.errors import ValidationError
@@ -47,9 +46,6 @@ class Confusion:
     @property
     def size(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
-
-    def as_dict(self) -> dict:
-        return {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn}
 
 
 def accuracy(c: Confusion) -> float | None:
@@ -107,14 +103,6 @@ class CategoryReport:
     f1: float | None
     fpr: float | None
 
-    def as_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "confusion": self.confusion.as_dict(),
-            "f1": self.f1,
-            "fpr": self.fpr,
-        }
-
 
 @dataclass
 class EvalReport:
@@ -138,20 +126,11 @@ class EvalReport:
     records: list[dict] = field(default_factory=list, repr=False)
 
     def as_dict(self) -> dict:
-        return {
-            "dataset_size": self.dataset_size,
-            "mode": self.mode,
-            "inference": self.inference,
-            "confusion": self.confusion.as_dict(),
-            "accuracy": self.accuracy,
-            "f1_binary": self.f1_binary,
-            "f1_weighted": self.f1_weighted,
-            "per_category": {k: v.as_dict() for k, v in self.per_category.items()},
-            "by_rule": self.by_rule,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2)
+        """The serialized report, in field order, without ``records``
+        (cleared before ``asdict``, which would deep-copy them)."""
+        out = asdict(replace(self, records=[]))
+        del out["records"]
+        return out
 
 
 def build_report(

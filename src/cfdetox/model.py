@@ -141,7 +141,7 @@ def encode(
     emb = A.embed(ids, params["encoder.embed"])
     h = A.tanh(A.affine(emb, params["encoder.mix.w"], params["encoder.mix.b"]))
     if drop is not None:
-        h = A.dropout(h, drop.p, training=True, seed=drop.seed, step=drop.step, site=site)
+        h = A.dropout(h, drop.p, seed=drop.seed, step=drop.step, site=site)
     mask = np.asarray(mask, dtype=np.float64)
     return A.mul(h, mask[..., None])
 
@@ -168,7 +168,7 @@ def cross_attention_ensemble(
 def mlp(v: Value, branch: str, params: dict[str, Value], drop: DropoutCtx | None = None) -> Value:
     h = A.tanh(A.affine(v, params[f"branch.{branch}.w1"], params[f"branch.{branch}.b1"]))
     if drop is not None:
-        h = A.dropout(h, drop.p, training=True, seed=drop.seed, step=drop.step, site=f"branch_{branch}")
+        h = A.dropout(h, drop.p, seed=drop.seed, step=drop.step, site=f"branch_{branch}")
     return A.affine(h, params[f"branch.{branch}.w2"], params[f"branch.{branch}.b2"])
 
 
@@ -195,7 +195,6 @@ def branch_forward(
     params: dict[str, Value],
     scenario: Scenario,
     drop: DropoutCtx | None = None,
-    bias_grad_stop: bool = True,
 ) -> ScenarioLogits:
     """Head scores and fusion for one scenario.
 
@@ -203,12 +202,11 @@ def branch_forward(
     ensemble and sentence heads are blocked and answer with the invariant
     responses (e and x_pooled may be None).  The bias head sees the pooled
     bias tokens through a gradient stop, so no loss can reach the encoder
-    through it; ``bias_grad_stop=False`` removes the stop so the analytic
-    gradient equals the true derivative (finite-difference checks).
+    through it.
     """
     if scenario not in ("factual", "counterfactual"):
         raise ContractError(f"unknown scenario {scenario!r}")
-    y_b = mlp(A.stop_gradient(b_pooled) if bias_grad_stop else b_pooled, "b", params, drop)
+    y_b = mlp(A.stop_gradient(b_pooled), "b", params, drop)
     if scenario == "counterfactual":
         return counterfactual_logits(params, y_b)
     if e is None or x_pooled is None:
@@ -236,7 +234,6 @@ def ccdf_forward(
     batch: EncodedBatch,
     scenario: Scenario,
     drop: DropoutCtx | None = None,
-    bias_grad_stop: bool = True,
 ) -> ScenarioLogits:
     """Full forward pass for one encoded batch.
 
@@ -246,10 +243,8 @@ def ccdf_forward(
     bh = encode(batch.b_ids, batch.b_mask, params, drop, site="enc_b")
     b_pooled = A.mean_pool(bh, batch.b_mask, axis=1)
     if scenario == "counterfactual":
-        return branch_forward(None, None, b_pooled, params, "counterfactual", drop,
-                              bias_grad_stop=bias_grad_stop)
+        return branch_forward(None, None, b_pooled, params, "counterfactual", drop)
     xh = encode(batch.x_ids, batch.x_mask, params, drop, site="enc_x")
     e = cross_attention_ensemble(xh, bh, batch.x_mask, batch.b_mask)
     x_pooled = A.mean_pool(xh, batch.x_mask, axis=1)
-    return branch_forward(e, x_pooled, b_pooled, params, "factual", drop,
-                          bias_grad_stop=bias_grad_stop)
+    return branch_forward(e, x_pooled, b_pooled, params, "factual", drop)

@@ -15,7 +15,7 @@ term).  Every per-mode decision lives in ``MODE_SPECS``:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +27,7 @@ from cfdetox.data import EncodedBatch, Example, Vocab, encode_batch, nobias_batc
 from cfdetox.effects import argmax_label, inference_records
 from cfdetox.errors import ContractError, DomainError, NumericsError, ValidationError
 from cfdetox.lexicon import Lexicon, match_biased_tokens
-from cfdetox.metrics import Confusion, EvalReport, build_report, f1_binary
+from cfdetox.metrics import Confusion, EvalReport, accuracy, build_report, f1_binary
 from cfdetox.model import DropoutCtx, ModelConfig, ScenarioLogits
 from cfdetox.optim import AdamWState, adamw_step
 
@@ -101,7 +101,7 @@ class TrainConfig:
         return ModelConfig(vocab_size=vocab_size, embed_dim=self.embed_dim, hidden=self.hidden)
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +207,8 @@ def predict_batch(
     With invariant responses all three rules come from one sweep: the
     factual pass, the counterfactual built from the factual pass's bias
     score, and the NOBIAS-reference pass.  Other modes support only
-    ``factual``, read off the sentence head.
+    ``factual``, read off the sentence head.  The parameters are read as
+    constant leaves, so no op records a backward closure.
     """
     if inference not in INFERENCE_RULES:
         raise ValidationError(f"unknown inference rule {inference!r}; expected one of {INFERENCE_RULES}")
@@ -217,6 +218,7 @@ def predict_batch(
     if inference not in spec.rules:
         raise ValidationError(f"inference {inference!r} requires a ccdf checkpoint, not mode {mode!r}")
     categories = categories if categories is not None else [[] for _ in range(len(batch.labels))]
+    params = {name: A.const(p.data, name) for name, p in params.items()}
     if spec.invariant_responses:
         factual = M.ccdf_forward(params, batch, "factual")
         counterfactual = M.counterfactual_logits(params, factual.y_b)
@@ -265,7 +267,7 @@ def evaluate(
         for rule in config.spec.rules:
             conf = Confusion.from_pairs([_record_label(r, rule) for r in records], labels)
             report.by_rule[rule] = {
-                "accuracy": (conf.tp + conf.tn) / conf.size,
+                "accuracy": accuracy(conf),
                 "f1_binary": f1_binary(conf),
             }
     return report

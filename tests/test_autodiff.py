@@ -255,16 +255,15 @@ def _reduce(v):
 
 def test_dropout_identity_when_not_training():
     x = A.param(np.ones((3, 3)))
-    assert A.dropout(x, 0.5, training=False) is x
-    assert A.dropout(x, 0.0, training=True) is x
+    assert A.dropout(x, 0.0) is x
 
 
 def test_dropout_deterministic_per_key():
     x = A.const(np.ones((8, 8)))
-    a = A.dropout(x, 0.4, training=True, seed=1, step=5, site="enc_x")
-    b = A.dropout(x, 0.4, training=True, seed=1, step=5, site="enc_x")
-    c = A.dropout(x, 0.4, training=True, seed=1, step=6, site="enc_x")
-    d = A.dropout(x, 0.4, training=True, seed=1, step=5, site="enc_b")
+    a = A.dropout(x, 0.4, seed=1, step=5, site="enc_x")
+    b = A.dropout(x, 0.4, seed=1, step=5, site="enc_x")
+    c = A.dropout(x, 0.4, seed=1, step=6, site="enc_x")
+    d = A.dropout(x, 0.4, seed=1, step=5, site="enc_b")
     assert (a.data == b.data).all()
     assert not (a.data == c.data).all()
     assert not (a.data == d.data).all()
@@ -272,7 +271,7 @@ def test_dropout_deterministic_per_key():
 
 def test_dropout_scales_surviving_entries():
     x = A.const(np.ones((100, 100)))
-    out = A.dropout(x, 0.25, training=True, seed=0, step=1)
+    out = A.dropout(x, 0.25, seed=0, step=1)
     kept = out.data[out.data != 0]
     assert np.allclose(kept, 1 / 0.75)
     assert abs(out.data.mean() - 1.0) < 0.05
@@ -280,14 +279,14 @@ def test_dropout_scales_surviving_entries():
 
 def test_dropout_gradient_uses_same_mask():
     x = A.param(np.ones((10, 10)))
-    out = A.dropout(x, 0.3, training=True, seed=2, step=3)
+    out = A.dropout(x, 0.3, seed=2, step=3)
     A.backward(_reduce(out))
     assert ((x.grad != 0) == (out.data != 0)).all()
 
 
 def test_dropout_rejects_bad_rate():
     with pytest.raises(ContractError):
-        A.dropout(A.const(np.ones(2)), 1.0, training=True)
+        A.dropout(A.const(np.ones(2)), 1.0)
 
 
 # ---------------------------------------------------------------------------

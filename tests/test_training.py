@@ -303,6 +303,30 @@ def test_predict_batch_reuses_the_factual_bias_score():
             assert predict_batch(params, batch, "ccdf", rule, cats) == expected
 
 
+@pytest.mark.parametrize("mode", ["ccdf", "vanilla"])
+def test_predict_batch_records_no_graph(monkeypatch, mode):
+    # inference on trainable parameters must not allocate a single
+    # backward closure; the same forward in training does
+    spec = MODE_SPECS[mode]
+    cfg = M.ModelConfig(vocab_size=11, embed_dim=5, hidden=6)
+    params = M.init_params(cfg, np.random.default_rng(12), spec.branches, spec.invariant_responses)
+    batch = make_batch(np.random.default_rng(13), n=3, vocab_size=11)
+    nodes = []
+    make_node = A._node
+
+    def recording_node(*args):
+        nodes.append(make_node(*args))
+        return nodes[-1]
+
+    monkeypatch.setattr(A, "_node", recording_node)
+    mode_forward(spec, params, batch)
+    assert any(n._backward_fn is not None for n in nodes)
+    nodes.clear()
+    assert len(predict_batch(params, batch, mode, "factual")) == 3
+    assert nodes
+    assert [n.op for n in nodes if n._backward_fn is not None] == []
+
+
 def test_predict_batch_unknown_rule(tiny_params, tiny_lexicon):
     batch = make_batch(np.random.default_rng(8), n=2)
     with pytest.raises(ValidationError):
