@@ -171,6 +171,9 @@ def _load_checkpoint(checkpoint_path: str):
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    if args.n_train < 2:
+        raise ValidationError(f"--n-train must be >= 2 (the last 10%, at least one example, "
+                              f"becomes valid.jsonl), got {args.n_train}")
     train, test_iid, test_flipped = D.generate_synthetic_corpus(
         args.seed, args.n_train, args.n_test, args.spurious_rate
     )
@@ -188,8 +191,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     for name, split in (("train", train), ("test_iid", test_iid), ("test_flipped", test_flipped)):
         toxic = [ex for ex in split if ex.label == 1]
         with_bias = sum(1 for ex in toxic if D.BIAS_TOKEN in ex.tokens)
+        p_bias = f"{with_bias / len(toxic):.3f}" if toxic else "n/a"
         print(f"  {name}: label-1 fraction {len(toxic) / len(split):.3f}, "
-              f"P({D.BIAS_TOKEN} | toxic) = {with_bias / len(toxic):.3f}")
+              f"P({D.BIAS_TOKEN} | toxic) = {p_bias}")
     return 0
 
 

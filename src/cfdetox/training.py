@@ -15,6 +15,7 @@ term).  Every per-mode decision lives in ``MODE_SPECS``:
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -90,8 +91,15 @@ class TrainConfig:
                 raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValidationError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.learning_rate <= 0:
-            raise ValidationError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValidationError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValidationError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValidationError(f"eps must be finite and > 0, got {self.eps}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValidationError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
     @property
     def spec(self) -> ModeSpec:
@@ -281,7 +289,7 @@ def evaluate(
 class StepLog:
     step: int
     losses: dict[str, float]
-    val_f1: float | None = None
+    val_f1: float | None = None  # set at validated steps only
 
 
 @dataclass
@@ -290,13 +298,8 @@ class TrainResult:
     vocab: Vocab
     config: TrainConfig
     history: list[StepLog]
-    evals: list[tuple[int, float | None, float | None]]  # (step, f1, best so far)
     best_step: int
     best_val_f1: float | None
-
-
-def _validation_f1(params, config, valid, lexicon, vocab) -> float | None:
-    return evaluate(params, config, valid, lexicon, vocab, config.spec.selection_rule).f1_binary
 
 
 def train(
@@ -308,10 +311,11 @@ def train(
     """Seeded minibatch training with periodic validation.
 
     Deterministic given the config: identical runs produce bit-identical
-    parameters.  The checkpoint kept is the one with the highest validation
-    binary F1 under the mode's inference rule (evaluated every
-    ``eval_every_steps`` steps and at the end); ties keep the earlier one.
-    Aborts with the step number if the loss stops being finite.
+    parameters.  Validation runs every ``eval_every_steps`` steps and at the
+    last step; its binary F1 under the mode's selection rule is recorded in
+    that step's ``StepLog.val_f1``.  The checkpoint kept is the one with the
+    highest validation F1; ties keep the earlier one.  Aborts with the step
+    number if the loss stops being finite.
     """
     if not train_set or not valid_set:
         raise ValidationError("train and validation splits must be non-empty")
@@ -334,22 +338,12 @@ def train(
     )
     shuffle_rng = np.random.Generator(np.random.PCG64(shuffle_seq))
 
+    last_step = config.epochs * math.ceil(len(train_set) / config.batch_size)
     history: list[StepLog] = []
-    evals: list[tuple[int, float | None, float | None]] = []
     best: dict[str, np.ndarray] | None = None
     best_f1: float | None = None
     best_step = 0
     step = 0
-
-    def consider_checkpoint(at_step: int) -> float | None:
-        nonlocal best, best_f1, best_step
-        f1 = _validation_f1(params, config, valid_set, lexicon, vocab)
-        if best is None or (f1 or 0.0) > (best_f1 or 0.0):
-            best = {name: v.data.copy() for name, v in params.items()}
-            best_f1, best_step = f1, at_step
-        evals.append((at_step, f1, best_f1))
-        return f1
-
     for _epoch in range(config.epochs):
         order = shuffle_rng.permutation(len(train_set))
         for start in range(0, len(order), config.batch_size):
@@ -371,13 +365,12 @@ def train(
             adamw_step(params, opt)
             A.zero_grads(params.values())
             log = StepLog(step=step, losses={k: float(v.data) for k, v in terms.items()})
-            if step % config.eval_every_steps == 0:
-                log.val_f1 = consider_checkpoint(step)
+            if step % config.eval_every_steps == 0 or step == last_step:
+                log.val_f1 = f1 = evaluate(params, config, valid_set, lexicon, vocab, spec.selection_rule).f1_binary
+                if best is None or (f1 or 0.0) > (best_f1 or 0.0):
+                    best = {name: v.data.copy() for name, v in params.items()}
+                    best_f1, best_step = f1, step
             history.append(log)
-    if not evals or evals[-1][0] != step:
-        final_f1 = consider_checkpoint(step)
-        if history:
-            history[-1].val_f1 = final_f1
     for name, v in params.items():
         v.data = best[name]
     return TrainResult(
@@ -385,7 +378,6 @@ def train(
         vocab=vocab,
         config=config,
         history=history,
-        evals=evals,
         best_step=best_step,
         best_val_f1=best_f1,
     )

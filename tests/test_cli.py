@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cfdetox
 from cfdetox import training as T
 from cfdetox.cli import _load_checkpoint, main
 from cfdetox.data import encode_batch, load_jsonl
@@ -61,6 +66,28 @@ def test_gen_reports_cooccurrence_near_half(tmp_path, capsys):
     train_line = [l for l in out.splitlines() if l.strip().startswith("train:")][0]
     rate = float(train_line.rsplit("=", 1)[1])
     assert 0.45 <= rate <= 0.55
+
+
+def _run_cli(*argv, cwd):
+    env = dict(os.environ, PYTHONPATH=str(Path(cfdetox.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "cfdetox.cli", *argv],
+                          cwd=cwd, env=env, capture_output=True, text=True)
+
+
+def test_gen_split_without_toxic_example_prints_na(tmp_path):
+    # a one-example test split holds no toxic example: P(bias | toxic) is undefined
+    proc = _run_cli("gen", "--out", "d", "--n-train", "20", "--n-test", "1", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "P(zorp | toxic) = n/a" in proc.stdout
+
+
+def test_gen_rejects_too_small_train_split(tmp_path):
+    proc = _run_cli("gen", "--out", "d", "--n-train", "1", cwd=tmp_path)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: --n-train must be >= 2")
+    assert not (tmp_path / "d").exists()
 
 
 def test_stats_table(corpus_dir, capsys):
@@ -129,6 +156,38 @@ def test_train_unknown_config_key(corpus_dir, tmp_path, capsys):
                "--config", str(cfg)])
     assert rc == 1
     assert "warp_speed" in capsys.readouterr().err
+
+
+TINY_TRAIN = ["--epochs", "1", "--batch-size", "4", "--hidden", "8", "--embed-dim", "8",
+              "--lx", "12", "--lb", "4", "--eval-every-steps", "50"]
+
+
+@pytest.mark.parametrize("line", [
+    "learning_rate=nan", "learning_rate=inf",
+    "beta1=1.0", "beta1=-0.1", "beta2=1.0", "beta2=nan",
+    "eps=-1", "eps=0", "eps=inf",
+    "weight_decay=nan", "weight_decay=inf", "weight_decay=-0.01",
+])
+def test_train_rejects_bad_optimizer_config(corpus_dir, tmp_path, capsys, line):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    rc = main(["train", "--data", str(corpus_dir), "--out", str(tmp_path / "r"),
+               "--config", str(cfg), *TINY_TRAIN])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: " + line.split("=")[0])
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--learning-rate", "nan"), ("--learning-rate", "inf"),
+    ("--weight-decay", "nan"), ("--weight-decay", "-1"),
+])
+def test_train_rejects_bad_optimizer_flag(corpus_dir, tmp_path, capsys, flag, value):
+    rc = main(["train", "--data", str(corpus_dir), "--out", str(tmp_path / "r"),
+               *TINY_TRAIN, flag, value])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: " + flag[2:].replace("-", "_"))
 
 
 def test_eval_writes_report_and_table(run_dir, corpus_dir, capsys):

@@ -1,14 +1,15 @@
 """Backend parity: the compiled kernels must match the pure-numpy fallback
 bit for bit (training determinism must not depend on the build).
 
-The compiled module is built from the tracked ``_fast.c`` with the flags
-``setup.py`` uses, so the parity tests run wherever a C compiler and the
-Python headers exist, with or without Cython.
+The compiled module is built by ``setup.py build_ext`` from the tracked
+``_fast.c`` into a temporary directory, so the parity tests run wherever a
+C compiler and the Python headers exist, with or without Cython.
 """
 
 import importlib.util
 import shutil
 import subprocess
+import sys
 import sysconfig
 from pathlib import Path
 
@@ -18,28 +19,25 @@ import pytest
 import cfdetox.kernels as K
 from cfdetox.kernels import pure
 
-FAST_C = Path(K.__file__).with_name("_fast.c")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
 def compiled(tmp_path_factory):
-    cc = shutil.which("cc")
     include = sysconfig.get_paths()["include"]
-    if cc is None:
+    if shutil.which("cc") is None:
         pytest.skip("no C compiler (cc) to build the kernel extension")
     if not Path(include, "Python.h").exists():
         pytest.skip(f"Python headers missing ({include}/Python.h)")
-    out = tmp_path_factory.mktemp("kernels") / ("_fast" + sysconfig.get_config_var("EXT_SUFFIX"))
-    # same flags as setup.py: no FP contraction keeps the bits of the numpy fallback
+    tmp = tmp_path_factory.mktemp("kernels")
     build = subprocess.run(
-        [cc, "-shared", "-fPIC", "-O3", "-ffp-contract=off",
-         "-DNPY_NO_DEPRECATED_API=NPY_1_7_API_VERSION",
-         f"-I{include}", f"-I{np.get_include()}", str(FAST_C), "-o", str(out)],
-        capture_output=True, text=True,
+        [sys.executable, "setup.py", "build_ext", "--build-lib", str(tmp / "lib"), "--build-temp", str(tmp / "tmp")],
+        cwd=ROOT, capture_output=True, text=True,
     )
-    if build.returncode != 0:
-        pytest.fail(f"building {FAST_C.name} failed:\n{build.stderr}")
-    spec = importlib.util.spec_from_file_location("cfdetox.kernels._fast", out)
+    built = sorted((tmp / "lib").glob("cfdetox/kernels/_fast*.so"))
+    if build.returncode != 0 or not built:
+        pytest.fail(f"setup.py build_ext built no extension:\n{build.stdout}\n{build.stderr}")
+    spec = importlib.util.spec_from_file_location("cfdetox.kernels._fast", built[0])
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

@@ -197,13 +197,32 @@ def test_train_rejects_empty_split():
         train(small_config(), train_set[:4], [], lexicon)
 
 
-def test_train_best_f1_is_monotone():
+@pytest.mark.parametrize("eval_every_steps,n_validations", [
+    (4, 7),  # 4 divides the last step: 28 / 4 calls, no second call at the end
+    (5, 6),  # steps 5, 10, 15, 20, 25 and the last step
+    (100, 1),  # the last step only
+])
+def test_train_selects_first_best_validated_step(monkeypatch, eval_every_steps, n_validations):
     train_set, _, lexicon = small_corpus(n=64)
-    res = train(small_config(epochs=2, eval_every_steps=4), train_set[:-8], train_set[-8:], lexicon)
-    bests = [b for _, _, b in res.evals]
-    cleaned = [(-1.0 if b is None else b) for b in bests]
-    assert cleaned == sorted(cleaned)
-    assert res.best_step in [s for s, _, _ in res.evals]
+    calls = []
+    original = T.evaluate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(T, "evaluate", counting)
+    cfg = small_config(epochs=2, eval_every_steps=eval_every_steps)
+    res = train(cfg, train_set[:-8], train_set[-8:], lexicon)  # 2 epochs of 14 steps
+    last_step = 28
+    assert [log.step for log in res.history] == list(range(1, last_step + 1))
+    validated = [log for log in res.history if log.step % eval_every_steps == 0 or log.step == last_step]
+    steps = {log.step for log in validated}
+    assert all(log.val_f1 is None for log in res.history if log.step not in steps)
+    assert len(calls) == len(validated) == n_validations
+    scores = [log.val_f1 or 0.0 for log in validated]
+    first_best = validated[scores.index(max(scores))]
+    assert (res.best_step, res.best_val_f1) == (first_best.step, first_best.val_f1)
 
 
 def test_train_aborts_on_non_finite_loss(monkeypatch):
