@@ -13,7 +13,7 @@ debugging.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -59,8 +59,11 @@ class Value:
 
     def accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # one pass, same bits as zero-fill-then-add (-0.0 + 0.0 is +0.0),
+            # into an array shaped and laid out like ``data``
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def __repr__(self) -> str:
         return f"Value(op={self.op!r}, shape={self.data.shape})"
@@ -327,12 +330,12 @@ def dropout(x: Value, p: float, seed: int = 0, step: int = 0, site: str = "enc_x
         return x
     key = (int(seed) << 64) | (int(step) << 8) | DROPOUT_SITES[site]
     rng = np.random.Generator(np.random.Philox(key=key))
-    keep = (rng.random(x.data.shape) >= p).astype(np.float64)
-    scale = 1.0 / (1.0 - p)
-    out_data = x.data * keep * scale
+    # keep is 0 or 1, so x * (keep * scale) has the bits of (x * keep) * scale
+    keep_scaled = (rng.random(x.data.shape) >= p) * (1.0 / (1.0 - p))
+    out_data = x.data * keep_scaled
 
     def backward_fn(g: np.ndarray) -> None:
-        x.accumulate(g * keep * scale)
+        x.accumulate(g * keep_scaled)
 
     return _node(out_data, (x,), "dropout", backward_fn)
 
@@ -409,51 +412,3 @@ def zero_grads(values: Iterable[Value]) -> None:
     for v in values:
         v.grad = None
 
-
-def gradcheck(
-    build: Callable[[], Value],
-    leaves: Sequence[Value],
-    step: float = 1e-5,
-    rtol: float = 1e-4,
-    max_entries_per_leaf: int = 4,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Compare analytic gradients of ``build()`` against central differences.
-
-    ``build`` must rebuild the forward graph from the current leaf data on
-    every call.  Returns the worst relative error over the sampled entries,
-    where the relative error uses max(|analytic|, |numeric|, 1e-5) as the
-    denominator; the floor absorbs central-difference roundoff
-    (~eps * |loss| / step), which dominates entries whose true gradient is
-    near zero.
-
-    Raises:
-        AssertionError: when the worst relative error exceeds ``rtol``.
-    """
-    rng = rng or np.random.default_rng(0)
-    zero_grads(leaves)
-    loss = build()
-    backward(loss)
-    analytic = [np.zeros_like(l.data) if l.grad is None else l.grad.copy() for l in leaves]
-    worst = 0.0
-    for leaf, grad in zip(leaves, analytic):
-        flat = leaf.data.reshape(-1)
-        n_entries = min(max_entries_per_leaf, flat.size)
-        picks = rng.choice(flat.size, size=n_entries, replace=False)
-        for idx in picks:
-            orig = flat[idx]
-            flat[idx] = orig + step
-            up = float(build().data)
-            flat[idx] = orig - step
-            down = float(build().data)
-            flat[idx] = orig
-            numeric = (up - down) / (2.0 * step)
-            a = float(grad.reshape(-1)[idx])
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-5)
-            worst = max(worst, err)
-            if err > rtol:
-                raise AssertionError(
-                    f"gradient mismatch at {leaf.op}[{idx}]: analytic {a:.8g}, "
-                    f"finite-difference {numeric:.8g}, rel err {err:.3g}"
-                )
-    return worst

@@ -226,7 +226,7 @@ def _run_dir(args: argparse.Namespace) -> Path:
 
 def _write_loss_csv(path: Path, result: T.TrainResult) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["step", "loss_f", "loss_e", "loss_x", "loss_b", "val_f1"])
         for log in result.history:
             writer.writerow(

@@ -1,5 +1,7 @@
 """Shared test helpers (fixtures live in conftest.py)."""
 
+from typing import Callable, Sequence
+
 import numpy as np
 
 from cfdetox import autodiff as A
@@ -51,3 +53,68 @@ def graph_effects(live, blocked, y_b, y_b_star) -> EffectBundle:
         scenario_logits(harmonic_fusion([*blocked, y_b]), "counterfactual"),
         scenario_logits(harmonic_fusion([*blocked, y_b_star]), "counterfactual"),
     )
+
+
+def gradcheck(
+    build: Callable[[], A.Value],
+    leaves: Sequence[A.Value],
+    step: float = 1e-5,
+    rtol: float = 1e-4,
+    max_entries_per_leaf: int = 4,
+    rng: np.random.Generator | None = None,
+) -> float:
+    """Compare analytic gradients of ``build()`` against central differences.
+
+    ``build`` must rebuild the forward graph from the current leaf data on
+    every call.  Returns the worst relative error over the sampled entries,
+    where the relative error uses max(|analytic|, |numeric|, 1e-5) as the
+    denominator; the floor absorbs central-difference roundoff
+    (~eps * |loss| / step), which dominates entries whose true gradient is
+    near zero.
+
+    Raises:
+        AssertionError: when the worst relative error exceeds ``rtol``.
+    """
+    rng = rng or np.random.default_rng(0)
+    A.zero_grads(leaves)
+    loss = build()
+    A.backward(loss)
+    analytic = [np.zeros_like(l.data) if l.grad is None else l.grad.copy() for l in leaves]
+    worst = 0.0
+    for leaf, grad in zip(leaves, analytic):
+        flat = leaf.data.reshape(-1)
+        n_entries = min(max_entries_per_leaf, flat.size)
+        picks = rng.choice(flat.size, size=n_entries, replace=False)
+        for idx in picks:
+            orig = flat[idx]
+            flat[idx] = orig + step
+            up = float(build().data)
+            flat[idx] = orig - step
+            down = float(build().data)
+            flat[idx] = orig
+            numeric = (up - down) / (2.0 * step)
+            a = float(grad.reshape(-1)[idx])
+            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-5)
+            worst = max(worst, err)
+            if err > rtol:
+                raise AssertionError(
+                    f"gradient mismatch at {leaf.op}[{idx}]: analytic {a:.8g}, "
+                    f"finite-difference {numeric:.8g}, rel err {err:.3g}"
+                )
+    return worst
+
+
+def scatter_add_rows_reference(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """The row-wise scatter-add the pure kernel replaced: ``np.add.at`` on ``out``."""
+    np.add.at(out, ids, rows)
+
+
+def adamw_update_reference(p, g, m, v, lr, beta1, beta2, eps, weight_decay, bias_c1, bias_c2) -> None:
+    """The allocating whole-array AdamW expression the pure kernel replaced."""
+    if weight_decay != 0.0:
+        p *= 1.0 - lr * weight_decay
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * (g * g)
+    p -= lr * ((m / bias_c1) / (np.sqrt(v / bias_c2) + eps))

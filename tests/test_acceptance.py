@@ -22,7 +22,7 @@ from cfdetox.cli import main
 from cfdetox.data import encode_batch, nobias_batch
 from cfdetox.lexicon import load_lexicon, match_biased_tokens
 from cfdetox.metrics import Confusion, accuracy, f1_binary, fpr
-from helpers import graph_effects, make_batch
+from helpers import gradcheck, graph_effects, make_batch
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -205,8 +205,8 @@ def test_gradient_checks(monkeypatch):
                               A.tile_rows(params["const.c_x"], 2), logits.y_b)
             return A.add(loss, A.cross_entropy(fused_cf, batch.labels))
 
-        worst = max(worst, A.gradcheck(build, list(params.values()),
-                                       max_entries_per_leaf=3, rng=np.random.default_rng(seed)))
+        worst = max(worst, gradcheck(build, list(params.values()),
+                                     max_entries_per_leaf=3, rng=np.random.default_rng(seed)))
         checked += 1
     elapsed = time.time() - t0
     report("gradient checks", worst < 1e-4 and elapsed < 60,

@@ -5,6 +5,7 @@ import pytest
 
 from cfdetox import autodiff as A
 from cfdetox.errors import ContractError, DomainError, ShapeError, VocabularyError
+from helpers import gradcheck
 
 
 def finite_difference(build, leaf, idx, h=1e-5):
@@ -141,6 +142,30 @@ def test_stop_gradient_preserves_forward():
     assert (A.stop_gradient(A.tanh(w)).data == np.tanh(w.data)).all()
 
 
+@pytest.mark.parametrize("layout", ["0-d", "C", "F"])
+def test_first_gradient_has_zero_fill_then_add_bits(layout):
+    rng = np.random.default_rng(4)
+    if layout == "0-d":
+        data, g = np.zeros(()), np.array(-0.0)
+    else:
+        data = np.zeros((3, 4)) if layout == "C" else np.zeros((4, 3)).T
+        g = rng.normal(size=(3, 4))
+        g[0] = -0.0
+        g[1, :2] = 5e-324
+    node = A.Value(data, requires_grad=True)
+    node.accumulate(g)
+    ref = np.zeros_like(data)
+    ref += g
+    assert type(node.grad) is np.ndarray and node.grad.shape == data.shape
+    assert node.grad.strides == ref.strides
+    assert node.grad.tobytes() == ref.tobytes()
+    assert not np.signbit(node.grad[g == 0]).any()  # -0.0 + 0.0 is +0.0
+    assert not np.shares_memory(node.grad, g)
+    node.accumulate(g)
+    ref += g
+    assert node.grad.tobytes() == ref.tobytes()
+
+
 def test_shared_node_gradients_accumulate():
     # w used twice: d/dw [tanh(w) * tanh(w)] = 2 tanh(w) tanh'(w)
     w = A.param(np.array(0.7))
@@ -240,7 +265,7 @@ def _gradcheck_primitive(op_name, rng):
         leaves = [x]
     else:
         raise AssertionError(op_name)
-    return A.gradcheck(build, leaves, rng=rng)
+    return gradcheck(build, leaves, rng=rng)
 
 
 def _reduce(v):
@@ -282,6 +307,26 @@ def test_dropout_gradient_uses_same_mask():
     out = A.dropout(x, 0.3, seed=2, step=3)
     A.backward(_reduce(out))
     assert ((x.grad != 0) == (out.data != 0)).all()
+
+
+def test_dropout_bits_match_mask_then_scale():
+    p, seed, step, site = 0.3, 5, 9, "branch_b"
+    rng = np.random.default_rng(0)
+    x = A.param(rng.normal(size=(6, 7)))
+    x.data[0] = -0.0
+    x.data[1, :3] = [0.0, 5e-324, -np.inf]
+    g = rng.normal(size=(6, 7))
+    g[2] = -0.0
+    key = (seed << 64) | (step << 8) | A.DROPOUT_SITES[site]
+    keep = (np.random.Generator(np.random.Philox(key=key)).random(x.shape) >= p).astype(np.float64)
+    scale = 1.0 / (1.0 - p)
+    with np.errstate(invalid="ignore"):  # -inf * 0 is nan on both sides
+        out = A.dropout(x, p, seed=seed, step=step, site=site)
+        assert out.data.tobytes() == (x.data * keep * scale).tobytes()
+    out._backward_fn(g)
+    ref = np.zeros_like(x.data)
+    ref += g * keep * scale
+    assert x.grad.tobytes() == ref.tobytes()
 
 
 def test_dropout_rejects_bad_rate():

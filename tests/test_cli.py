@@ -127,6 +127,12 @@ def test_train_writes_run_artifacts(run_dir):
     assert header == "step,loss_f,loss_e,loss_x,loss_b,val_f1"
 
 
+def test_train_loss_csv_lines_end_in_newline_only(run_dir):
+    raw = (run_dir / "loss.csv").read_bytes()
+    assert b"\r" not in raw
+    assert raw.endswith(b"\n") and raw.count(b"\n") > 1
+
+
 def test_train_unknown_mode_usage_error(corpus_dir, tmp_path, capsys):
     rc = main(["train", "--data", str(corpus_dir), "--out", str(tmp_path / "r"),
                "--mode", "bogus"])

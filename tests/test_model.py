@@ -18,7 +18,7 @@ from cfdetox.model import (
     init_params,
 )
 from cfdetox.training import total_loss
-from helpers import make_batch
+from helpers import gradcheck, make_batch
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +232,6 @@ def test_full_forward_gradients_match_finite_differences(monkeypatch):
         z = (np.tanh(logits.y_e.data) * np.tanh(logits.y_x.data) * np.tanh(logits.y_b.data))
         if np.abs(z).min() < 1e-3:  # too close to the fusion guard's kink
             continue
-        A.gradcheck(build, list(params.values()), max_entries_per_leaf=3,
-                    rng=np.random.default_rng(seed))
+        gradcheck(build, list(params.values()), max_entries_per_leaf=3,
+                  rng=np.random.default_rng(seed))
         checked += 1
