@@ -26,7 +26,7 @@ from cfdetox import checkpoint as ckpt
 from cfdetox import data as D
 from cfdetox import model as M
 from cfdetox import training as T
-from cfdetox.errors import CfDetoxError, NumericsError, ValidationError
+from cfdetox.errors import CfDetoxError, NumericsError, ValidationError, read_text
 from cfdetox.lexicon import load_lexicon, match_biased_tokens, save_lexicon
 from cfdetox.metrics import render_table
 from cfdetox.training import TrainConfig
@@ -120,7 +120,7 @@ def build_parser() -> _Parser:
 def _parse_config_file(path: Path) -> dict[str, object]:
     """Typed TrainConfig values from a ``key=value`` file."""
     raw: dict[str, str] = {}
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -258,6 +258,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     run_dir = _run_dir(args)
     if args.runs < 1:
         raise ValidationError(f"--runs must be >= 1, got {args.runs}")
+    replace(config, seed=config.seed + args.runs - 1)  # the last run's seed must be valid too
     if args.runs == 1:
         _train_one(config, data_dir, run_dir)
         return 0
@@ -310,7 +311,8 @@ def cmd_infer(args: argparse.Namespace) -> int:
     example = D.Example.from_text(args.text, 0)
     matched = match_biased_tokens(example.tokens, lexicon)
     batch = D.encode_batch([example], lexicon, vocab, config.lx, config.lb)
-    record = T.predict_batch(params, batch, config.mode, "tie", [sorted(matched.categories)])[0]
+    record = T.predict_batch(params, batch, config.spec)[0]
+    record["categories"] = sorted(matched.categories)
     record["text"] = args.text
     record["biased_tokens"] = [
         {"token": tok, "category": lexicon.category(tok)} for tok in matched.tokens

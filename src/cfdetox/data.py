@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from cfdetox.errors import ParseError, ValidationError
+from cfdetox.errors import ParseError, ValidationError, numbered_lines, read_text
 from cfdetox.lexicon import Lexicon, match_biased_tokens
 
 PAD, UNK, SEP, NOBIAS = "<pad>", "<unk>", "<sep>", "<nobias>"
@@ -63,23 +63,24 @@ def load_jsonl(path: str | Path) -> list[Example]:
     """Read one ``{"text": ..., "label": 0|1}`` object per line, in order."""
     path = Path(path)
     examples: list[Example] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(path, line_no, f"invalid JSON: {exc.msg}") from exc
-            if not isinstance(obj, dict) or "text" not in obj or "label" not in obj:
-                raise ParseError(path, line_no, "object must have 'text' and 'label' fields")
-            text, label = obj["text"], obj["label"]
-            if not isinstance(text, str):
-                raise ParseError(path, line_no, f"'text' must be a string, got {type(text).__name__}")
-            if not isinstance(label, int) or isinstance(label, bool) or label not in (0, 1):
-                raise ParseError(path, line_no, f"'label' must be 0 or 1, got {label!r}")
-            examples.append(Example.from_text(text, label))
+    for line_no, raw in numbered_lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(path, line_no, f"invalid JSON: {exc.msg}") from exc
+        except (RecursionError, ValueError) as exc:  # nesting depth, integer digit limit
+            raise ParseError(path, line_no, f"invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict) or "text" not in obj or "label" not in obj:
+            raise ParseError(path, line_no, "object must have 'text' and 'label' fields")
+        text, label = obj["text"], obj["label"]
+        if not isinstance(text, str):
+            raise ParseError(path, line_no, f"'text' must be a string, got {type(text).__name__}")
+        if not isinstance(label, int) or isinstance(label, bool) or label not in (0, 1):
+            raise ParseError(path, line_no, f"'label' must be 0 or 1, got {label!r}")
+        examples.append(Example.from_text(text, label))
     return examples
 
 
@@ -101,17 +102,11 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
-
     def id(self, token: str) -> int:
         """Id of a text token; unknown words and the reserved surfaces
         (``<pad>``, ``<sep>``, ...) written in text read as UNK."""
         idx = self._ids.get(token, UNK_ID)
         return UNK_ID if idx < len(RESERVED) else idx
-
-    def token(self, idx: int) -> str:
-        return self.tokens[idx]
 
     @classmethod
     def build(cls, examples: Iterable[Example]) -> "Vocab":
@@ -131,8 +126,7 @@ class Vocab:
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
         path = Path(path)
-        with open(path, encoding="utf-8") as fh:
-            tokens = fh.read().splitlines()
+        tokens = read_text(path).splitlines()
         if tokens[: len(RESERVED)] != list(RESERVED):
             raise ParseError(path, 1, f"first {len(RESERVED)} lines must be {RESERVED}")
         return cls(tokens)
@@ -292,6 +286,8 @@ def generate_synthetic_corpus(
         raise ValidationError(f"spurious_rate must be in [0.5, 1.0], got {spurious_rate}")
     if n_train < 1 or n_test < 1:
         raise ValidationError("n_train and n_test must be >= 1")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     train = _make_split(rng, n_train, spurious_rate)
     test_iid = _make_split(rng, n_test, spurious_rate)

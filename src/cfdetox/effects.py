@@ -12,12 +12,11 @@ sentences with no lexicon match.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from cfdetox.errors import ContractError
-from cfdetox.model import FUSION_GUARD_EPS, ScenarioLogits
+from cfdetox.model import ScenarioLogits
 
 
 @dataclass(frozen=True)
@@ -27,15 +26,6 @@ class EffectBundle:
     te: np.ndarray
     nde: np.ndarray
     tie: np.ndarray
-
-
-def harmonic_fusion(scores: Sequence[np.ndarray]) -> np.ndarray:
-    """Plain-array twin of the model's fusion (same guard)."""
-    z = np.ones_like(np.asarray(scores[0], dtype=np.float64))
-    for s in scores:
-        z = z * np.tanh(np.asarray(s, dtype=np.float64))
-    z = np.maximum(z, FUSION_GUARD_EPS)
-    return np.log(z) - np.log(1.0 + z)
 
 
 def argmax_label(score: np.ndarray) -> int:
@@ -67,16 +57,14 @@ def effects(factual: ScenarioLogits, counterfactual: ScenarioLogits, reference: 
 
 
 def inference_records(
-    factual: ScenarioLogits,
-    counterfactual: ScenarioLogits,
-    reference: ScenarioLogits,
-    categories: Sequence[Sequence[str]],
+    factual: ScenarioLogits, counterfactual: ScenarioLogits, reference: ScenarioLogits
 ) -> list[dict]:
     """Per-example inference records for a batch.
 
     Each record carries the fused factual and counterfactual vectors, the
-    tie vector, the te/tie/factual labels, and the matched lexicon
-    categories — the JSONL schema emitted by the CLI.
+    tie vector and the te/tie/factual labels.  These are model output
+    only: the caller adds the matched lexicon ``categories``, which
+    completes the JSONL schema emitted by the CLI.
     """
     bundle = effects(factual, counterfactual, reference)
     if bundle.tie.ndim != 2:
@@ -90,7 +78,6 @@ def inference_records(
             "te_label": argmax_label(bundle.te[i]),
             "tie_label": argmax_label(bundle.tie[i]),
             "factual_label": argmax_label(f[i]),
-            "categories": sorted(categories[i]),
         }
         for i in range(f.shape[0])
     ]

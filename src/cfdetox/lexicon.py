@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from cfdetox.errors import ParseError, ValidationError
+from cfdetox.errors import ParseError, ValidationError, numbered_lines
 
 CATEGORIES = ("nOI", "OI", "OnI")
 
@@ -28,21 +28,12 @@ class BiasedTokenSet:
     tokens: tuple[str, ...] = ()
     categories: frozenset[str] = frozenset()
 
-    def __bool__(self) -> bool:
-        return bool(self.tokens)
-
 
 @dataclass
 class Lexicon:
     """Immutable after load; matching is pure and thread-safe."""
 
     entries: dict[str, str] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, surface: str) -> bool:
-        return surface in self.entries
 
     def category(self, surface: str) -> str:
         return self.entries[surface]
@@ -56,27 +47,26 @@ def load_lexicon(path: str | Path) -> Lexicon:
     """
     path = Path(path)
     entries: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(path, line_no, f"expected 'surface,category', got {line!r}")
-            surface, category = parts[0].strip().lower(), parts[1].strip()
-            if not surface or any(ch.isspace() for ch in surface):
-                raise ParseError(path, line_no, f"bad surface {parts[0]!r}")
-            if category not in CATEGORIES:
-                raise ValidationError(
-                    f"{path}:{line_no}: unknown category {category!r}, expected one of {CATEGORIES}"
-                )
-            if surface in entries and entries[surface] != category:
-                raise ValidationError(
-                    f"{path}:{line_no}: surface {surface!r} listed as both "
-                    f"{entries[surface]} and {category}"
-                )
-            entries[surface] = category
+    for line_no, raw in numbered_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ParseError(path, line_no, f"expected 'surface,category', got {line!r}")
+        surface, category = parts[0].strip().lower(), parts[1].strip()
+        if not surface or any(ch.isspace() for ch in surface):
+            raise ParseError(path, line_no, f"bad surface {parts[0]!r}")
+        if category not in CATEGORIES:
+            raise ValidationError(
+                f"{path}:{line_no}: unknown category {category!r}, expected one of {CATEGORIES}"
+            )
+        if surface in entries and entries[surface] != category:
+            raise ValidationError(
+                f"{path}:{line_no}: surface {surface!r} listed as both "
+                f"{entries[surface]} and {category}"
+            )
+        entries[surface] = category
     return Lexicon(entries)
 
 

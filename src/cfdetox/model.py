@@ -39,8 +39,8 @@ Scenario = Literal["factual", "counterfactual"]
 @dataclass
 class ModelConfig:
     vocab_size: int
-    embed_dim: int = 128
-    hidden: int = 256
+    embed_dim: int
+    hidden: int
 
 
 @dataclass

@@ -19,11 +19,11 @@ class AdamWState:
     increments once per :func:`adamw_step` call.
     """
 
-    lr: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.01
+    lr: float
+    beta1: float
+    beta2: float
+    eps: float
+    weight_decay: float
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)

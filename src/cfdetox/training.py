@@ -86,6 +86,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValidationError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        if not 0 <= self.seed < 2**64:  # the dropout key is seed << 64 inside a 128-bit Philox key
+            raise ValidationError(f"seed must be in [0, 2**64), got {self.seed}")
         for name in ("epochs", "batch_size", "hidden", "lx", "lb", "eval_every_steps", "embed_dim"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -141,15 +143,6 @@ def _sum_terms(terms: dict[str, Value]) -> Value:
     return out
 
 
-def total_loss(logits: ScenarioLogits, labels: np.ndarray) -> Value:
-    """Sum of the fused and per-branch cross-entropies.
-
-    The bias-branch term cannot reach the encoder: the bias head's input
-    carries a gradient stop (see model.branch_forward).
-    """
-    return _sum_terms(loss_terms(logits, labels))
-
-
 def invariant_response_loss(logits: ScenarioLogits, params: dict[str, Value], labels: np.ndarray) -> Value:
     """Calibration term for the invariant responses c_e/c_x.
 
@@ -203,44 +196,24 @@ def mode_forward(
 # prediction
 # ---------------------------------------------------------------------------
 
-def predict_batch(
-    params: dict[str, Value],
-    batch: EncodedBatch,
-    mode: str,
-    inference: str,
-    categories: Sequence[Sequence[str]] | None = None,
-) -> list[dict]:
+def predict_batch(params: dict[str, Value], batch: EncodedBatch, spec: ModeSpec) -> list[dict]:
     """Inference records for one encoded batch (dropout off).
 
     With invariant responses all three rules come from one sweep: the
     factual pass, the counterfactual built from the factual pass's bias
-    score, and the NOBIAS-reference pass.  Other modes support only
-    ``factual``, read off the sentence head.  The parameters are read as
-    constant leaves, so no op records a backward closure.
+    score, and the NOBIAS-reference pass.  Other modes get
+    ``{"factual_label"}`` read off the sentence head.  Records hold model
+    output only; the caller adds ``categories``.  The parameters are read
+    as constant leaves, so no op records a backward closure.
     """
-    if inference not in INFERENCE_RULES:
-        raise ValidationError(f"unknown inference rule {inference!r}; expected one of {INFERENCE_RULES}")
-    if mode not in MODE_SPECS:
-        raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
-    spec = MODE_SPECS[mode]
-    if inference not in spec.rules:
-        raise ValidationError(f"inference {inference!r} requires a ccdf checkpoint, not mode {mode!r}")
-    categories = categories if categories is not None else [[] for _ in range(len(batch.labels))]
     params = {name: A.const(p.data, name) for name, p in params.items()}
     if spec.invariant_responses:
         factual = M.ccdf_forward(params, batch, "factual")
         counterfactual = M.counterfactual_logits(params, factual.y_b)
         reference = M.ccdf_forward(params, nobias_batch(batch), "counterfactual")
-        return inference_records(factual, counterfactual, reference, categories)
+        return inference_records(factual, counterfactual, reference)
     scores = sentence_branch_forward(params, batch).data
-    return [
-        {"factual_label": argmax_label(scores[i]), "categories": sorted(categories[i])}
-        for i in range(scores.shape[0])
-    ]
-
-
-def _record_label(record: dict, inference: str) -> int:
-    return record[f"{inference}_label"]
+    return [{"factual_label": argmax_label(row)} for row in scores]
 
 
 def evaluate(
@@ -257,23 +230,31 @@ def evaluate(
     each category; an example may fall in several subsets.  When the mode
     supports several inference rules the report also carries overall
     accuracy/F1 under each of them for comparison.  ``report.records``
-    holds the per-example inference records, in dataset order.
+    holds the per-example inference records, in dataset order, each
+    ending in its ``categories``.  A rule that is unknown or that the
+    mode lacks is rejected before anything is encoded.
     """
+    if inference not in INFERENCE_RULES:
+        raise ValidationError(f"unknown inference rule {inference!r}; expected one of {INFERENCE_RULES}")
+    spec = config.spec
+    if inference not in spec.rules:
+        raise ValidationError(f"inference {inference!r} requires a ccdf checkpoint, not mode {config.mode!r}")
     if not examples:
         raise ValidationError("cannot evaluate an empty dataset")
     records: list[dict] = []
     for start in range(0, len(examples), EVAL_BATCH_SIZE):
         chunk = examples[start : start + EVAL_BATCH_SIZE]
         batch = encode_batch(chunk, lexicon, vocab, config.lx, config.lb)
-        cats = [sorted(match_biased_tokens(ex.tokens, lexicon).categories) for ex in chunk]
-        records.extend(predict_batch(params, batch, config.mode, inference, cats))
+        for record, ex in zip(predict_batch(params, batch, spec), chunk):
+            record["categories"] = sorted(match_biased_tokens(ex.tokens, lexicon).categories)
+            records.append(record)
     labels = [ex.label for ex in examples]
-    predictions = [_record_label(r, inference) for r in records]
+    predictions = [r[f"{inference}_label"] for r in records]
     report = build_report(predictions, labels, [r["categories"] for r in records], config.mode, inference)
     report.records = records
-    if len(config.spec.rules) > 1:
-        for rule in config.spec.rules:
-            conf = Confusion.from_pairs([_record_label(r, rule) for r in records], labels)
+    if len(spec.rules) > 1:
+        for rule in spec.rules:
+            conf = Confusion.from_pairs([r[f"{rule}_label"] for r in records], labels)
             report.by_rule[rule] = {
                 "accuracy": accuracy(conf),
                 "f1_binary": f1_binary(conf),
@@ -296,7 +277,6 @@ class StepLog:
 class TrainResult:
     params: dict[str, Value]
     vocab: Vocab
-    config: TrainConfig
     history: list[StepLog]
     best_step: int
     best_val_f1: float | None
@@ -376,7 +356,6 @@ def train(
     return TrainResult(
         params=params,
         vocab=vocab,
-        config=config,
         history=history,
         best_step=best_step,
         best_val_f1=best_f1,

@@ -5,9 +5,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from cfdetox import autodiff as A
+from cfdetox.autodiff import Value
 from cfdetox.data import EncodedBatch, Example
-from cfdetox.effects import EffectBundle, effects, harmonic_fusion
-from cfdetox.model import ScenarioLogits
+from cfdetox.effects import EffectBundle, effects
+from cfdetox.model import FUSION_GUARD_EPS, ScenarioLogits
+from cfdetox.training import _sum_terms, loss_terms
 
 
 def make_batch(rng: np.random.Generator, n: int = 2, vocab_size: int = 12,
@@ -32,6 +34,24 @@ def make_batch(rng: np.random.Generator, n: int = 2, vocab_size: int = 12,
 
 def examples_from(texts_labels) -> list[Example]:
     return [Example.from_text(t, y) for t, y in texts_labels]
+
+
+def harmonic_fusion(scores: Sequence[np.ndarray]) -> np.ndarray:
+    """Plain-array twin of the model's fusion (same guard)."""
+    z = np.ones_like(np.asarray(scores[0], dtype=np.float64))
+    for s in scores:
+        z = z * np.tanh(np.asarray(s, dtype=np.float64))
+    z = np.maximum(z, FUSION_GUARD_EPS)
+    return np.log(z) - np.log(1.0 + z)
+
+
+def total_loss(logits: ScenarioLogits, labels: np.ndarray) -> Value:
+    """Sum of the fused and per-branch cross-entropies.
+
+    The bias-branch term cannot reach the encoder: the bias head's input
+    carries a gradient stop (see model.branch_forward).
+    """
+    return _sum_terms(loss_terms(logits, labels))
 
 
 def scenario_logits(fused, scenario: str) -> ScenarioLogits:

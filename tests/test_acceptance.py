@@ -22,7 +22,7 @@ from cfdetox.cli import main
 from cfdetox.data import encode_batch, nobias_batch
 from cfdetox.lexicon import load_lexicon, match_biased_tokens
 from cfdetox.metrics import Confusion, accuracy, f1_binary, fpr
-from helpers import gradcheck, graph_effects, make_batch
+from helpers import gradcheck, graph_effects, harmonic_fusion, make_batch, total_loss
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -85,11 +85,11 @@ def test_nobias_neutrality(experiment):
     checked = mismatches = 0
     for split in ("test_iid.jsonl", "test_flipped.jsonl"):
         examples = D.load_jsonl(experiment["data_dir"] / split)
-        empty_b = [ex for ex in examples if not match_biased_tokens(ex.tokens, lexicon)]
+        empty_b = [ex for ex in examples if not match_biased_tokens(ex.tokens, lexicon).tokens]
         for start in range(0, len(empty_b), 64):
             chunk = empty_b[start : start + 64]
             batch = encode_batch(chunk, lexicon, vocab, config.lx, config.lb)
-            records = T.predict_batch(params, batch, "ccdf", "tie")
+            records = T.predict_batch(params, batch, config.spec)
             checked += len(records)
             mismatches += sum(1 for r in records if r["tie_label"] != r["te_label"])
     report("NOBIAS neutrality", checked > 0 and mismatches == 0,
@@ -139,7 +139,7 @@ def test_causal_identity():
         for variant in ("no_Fe", "no_Fx"):
             y_live, y_b, c_blk, y_b_star = (rng.normal(size=2) * 2 for _ in range(4))
             bundle = graph_effects((y_live,), (c_blk,), y_b, y_b_star)
-            direct = E.harmonic_fusion([y_live, y_b]) - E.harmonic_fusion([c_blk, y_b])
+            direct = harmonic_fusion([y_live, y_b]) - harmonic_fusion([c_blk, y_b])
             worst = max(worst, np.abs(bundle.tie - (bundle.te - bundle.nde)).max())
             worst = max(worst, np.abs(bundle.tie - direct).max())
     report("causal identity tie = te - nde", worst <= 1e-12,
@@ -200,7 +200,7 @@ def test_gradient_checks(monkeypatch):
 
         def build():
             logits = M.ccdf_forward(params, batch, "factual")
-            loss = T.total_loss(logits, batch.labels)
+            loss = total_loss(logits, batch.labels)
             fused_cf = M.fuse(A.tile_rows(params["const.c_e"], 2),
                               A.tile_rows(params["const.c_x"], 2), logits.y_b)
             return A.add(loss, A.cross_entropy(fused_cf, batch.labels))

@@ -6,11 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cfdetox
 from cfdetox import training as T
-from cfdetox.cli import _load_checkpoint, main
-from cfdetox.data import encode_batch, load_jsonl
+from cfdetox.cli import _load_checkpoint, _parse_config_file, main
+from cfdetox.data import Vocab, encode_batch, load_jsonl
+from cfdetox.errors import CfDetoxError
 from cfdetox.lexicon import load_lexicon, match_biased_tokens
 
 
@@ -244,8 +247,9 @@ def test_eval_per_example_records(run_dir, corpus_dir, tmp_path):
     for start in range(0, len(examples), T.EVAL_BATCH_SIZE):
         chunk = examples[start : start + T.EVAL_BATCH_SIZE]
         batch = encode_batch(chunk, lexicon, vocab, config.lx, config.lb)
-        cats = [sorted(match_biased_tokens(ex.tokens, lexicon).categories) for ex in chunk]
-        expected.extend(json.dumps(r) + "\n" for r in T.predict_batch(params, batch, "ccdf", "tie", cats))
+        for r, ex in zip(T.predict_batch(params, batch, config.spec), chunk):
+            r["categories"] = sorted(match_biased_tokens(ex.tokens, lexicon).categories)
+            expected.append(json.dumps(r) + "\n")
     assert records_path.read_text(encoding="utf-8") == "".join(expected)
 
 
@@ -398,3 +402,127 @@ def test_runs_aggregator(corpus_dir, tmp_path, capsys):
     assert (out / "run01" / "model.bin").exists()
     text = capsys.readouterr().out
     assert "mean" in text and "s.d." in text
+
+
+# ---------------------------------------------------------------------------
+# text loaders: bad bytes and seeds are one-line validation errors
+# ---------------------------------------------------------------------------
+
+NOT_UTF8 = b"\xff\xfe oops\n"
+
+
+def _assert_one_line_error(capsys, *needles):
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+    for needle in needles:
+        assert needle in err, err
+
+
+def test_stats_non_utf8_dataset_names_file_and_line(corpus_dir, tmp_path, capsys):
+    data = tmp_path / "bad.jsonl"
+    data.write_bytes(b'{"text": "a", "label": 0}\n' + NOT_UTF8)
+    rc = main(["stats", "--data", str(data), "--lexicon", str(corpus_dir / "lexicon.csv")])
+    assert rc == 1
+    _assert_one_line_error(capsys, f"{data}:2:", "UTF-8")
+
+
+@pytest.mark.parametrize("line", [
+    pytest.param("[" * 100000, id="nested-past-recursion-limit"),
+    pytest.param('{"text": "a", "label": ' + "1" * 5000 + "}", id="integer-past-digit-limit"),
+])
+def test_stats_undecodable_json_line_names_file_and_line(corpus_dir, tmp_path, capsys, line):
+    data = tmp_path / "deep.jsonl"
+    data.write_text('{"text": "a", "label": 0}\n' + line + "\n", encoding="utf-8")
+    rc = main(["stats", "--data", str(data), "--lexicon", str(corpus_dir / "lexicon.csv")])
+    assert rc == 1
+    _assert_one_line_error(capsys, f"{data}:2:", "invalid JSON")
+
+
+def test_stats_non_utf8_lexicon_names_file_and_line(corpus_dir, tmp_path, capsys):
+    lexicon = tmp_path / "lexicon.csv"
+    lexicon.write_bytes(b"zorp,nOI\n" + NOT_UTF8)
+    rc = main(["stats", "--data", str(corpus_dir / "train.jsonl"), "--lexicon", str(lexicon)])
+    assert rc == 1
+    _assert_one_line_error(capsys, f"{lexicon}:2:", "UTF-8")
+
+
+@pytest.mark.parametrize("name", ["vocab.txt", "config.txt"])
+def test_eval_non_utf8_checkpoint_text_file_names_file_and_line(run_dir, corpus_dir, tmp_path, capsys, name):
+    clone = _clone_run(run_dir, tmp_path / "clone")
+    lines = (clone / name).read_bytes().splitlines(keepends=True)
+    (clone / name).write_bytes(lines[0] + NOT_UTF8 + b"".join(lines[1:]))
+    rc = main(["eval", "--checkpoint", str(clone / "model.bin"),
+               "--data", str(corpus_dir / "test_iid.jsonl"),
+               "--lexicon", str(corpus_dir / "lexicon.csv")])
+    assert rc == 1
+    _assert_one_line_error(capsys, f"{clone / name}:2:", "UTF-8")
+
+
+def test_train_non_utf8_config_file_names_file_and_line(corpus_dir, tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_bytes(b"epochs=1\n" + NOT_UTF8)
+    out = tmp_path / "run"
+    rc = main(["train", "--data", str(corpus_dir), "--out", str(out), "--config", str(cfg)])
+    assert rc == 1
+    _assert_one_line_error(capsys, f"{cfg}:2:", "UTF-8")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "-1"],
+    ["--seed", str(2**64)],  # the dropout key seed << 64 would leave 128 bits
+    ["--seed", str(2**64 - 2), "--runs", "3"],  # the last run's seed is 2**64
+])
+def test_train_rejects_out_of_range_seed_before_writing(corpus_dir, tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    rc = main(["train", "--data", str(corpus_dir), "--out", str(out), *TINY_TRAIN, *argv])
+    assert rc == 1
+    _assert_one_line_error(capsys, "seed must be in [0, 2**64)")
+    assert not out.exists()
+
+
+def test_train_accepts_largest_seed(corpus_dir, tmp_path):
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(corpus_dir), "--out", str(out), *TINY_TRAIN,
+                 "--seed", str(2**64 - 1)]) == 0
+    assert f"seed={2**64 - 1}" in (out / "config.txt").read_text(encoding="utf-8")
+
+
+def test_gen_rejects_negative_seed_before_writing(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert main(["gen", "--seed", "-3", "--out", str(out), "--n-train", "20", "--n-test", "5"]) == 1
+    _assert_one_line_error(capsys, "seed must be >= 0")
+    assert not out.exists()
+
+
+# random bytes, plus fragments that reach past decoding into each parser
+_FRAGMENTS = [b'{"text": ', b'"a b"', b', "label": ', b"0", b"1", b"2", b"}", b"[", b"]", b",",
+              b"=", b"#", b"\n", b"\r", b" ", b"\xff", b"\xc3", b"\xc3\xa9", b"nOI", b"zorp",
+              b"<pad>", b"<unk>", b"<sep>", b"<nobias>", b"epochs", b"seed", b"mode", b"nan", b"1e9"]
+FUZZ_BYTES = st.one_of(st.binary(max_size=64),
+                       st.lists(st.sampled_from(_FRAGMENTS), max_size=24).map(b"".join))
+LOADERS = {
+    "load_jsonl": load_jsonl,
+    "load_lexicon": load_lexicon,
+    "Vocab.load": Vocab.load,
+    "_parse_config_file": _parse_config_file,
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("loader", list(LOADERS))
+@settings(max_examples=150, deadline=None)
+@given(blob=FUZZ_BYTES)
+def test_text_loaders_return_or_raise_package_errors(fuzz_dir, loader, blob):
+    # cli.main maps every CfDetoxError to exit 1 with one line; anything
+    # else would escape as a traceback
+    path = fuzz_dir / f"{loader}.txt"
+    path.write_bytes(blob)
+    try:
+        LOADERS[loader](path)
+    except CfDetoxError:
+        pass

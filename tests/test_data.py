@@ -181,7 +181,7 @@ def test_encode_round_trips_in_vocab_tokens(tiny_lexicon):
     vocab = Vocab.build(examples)
     batch = encode_batch(examples, tiny_lexicon, vocab, 10, 6)
     for ex, row, mask in zip(examples, batch.x_ids, batch.x_mask):
-        decoded = [vocab.token(i) for i, m in zip(row, mask) if m == 1]
+        decoded = [vocab.tokens[i] for i, m in zip(row, mask) if m == 1]
         assert decoded == list(ex.tokens)
 
 

@@ -5,7 +5,7 @@ from cfdetox import effects as E
 from cfdetox.data import encode_batch, nobias_batch, Vocab
 from cfdetox.errors import ContractError
 from cfdetox.model import ccdf_forward
-from helpers import examples_from, graph_effects, make_batch, scenario_logits as fake_logits
+from helpers import examples_from, graph_effects, harmonic_fusion, make_batch, scenario_logits as fake_logits
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +174,7 @@ def test_ablated_no_fe_matches_two_branch_pipeline():
     for _ in range(50):
         y_x, y_b, c_x, y_b_star = (rng.normal(size=2) for _ in range(4))
         bundle = graph_effects((y_x,), (c_x,), y_b, y_b_star)
-        direct = E.harmonic_fusion([y_x, y_b]) - E.harmonic_fusion([c_x, y_b])
+        direct = harmonic_fusion([y_x, y_b]) - harmonic_fusion([c_x, y_b])
         assert np.abs(bundle.tie - direct).max() <= 1e-12
 
 
@@ -197,13 +197,11 @@ def test_inference_records_schema(tiny_params, tiny_lexicon):
     f = ccdf_forward(tiny_params, batch, "factual")
     cf = ccdf_forward(tiny_params, batch, "counterfactual")
     ref = ccdf_forward(tiny_params, nobias_batch(batch), "counterfactual")
-    records = E.inference_records(f, cf, ref, [["nOI", "OnI"], []])
+    records = E.inference_records(f, cf, ref)
     assert len(records) == 2
     for rec in records:
         assert set(rec) == {"fused_factual", "fused_counterfactual", "tie",
-                            "te_label", "tie_label", "factual_label", "categories"}
-    assert records[0]["categories"] == ["OnI", "nOI"] or records[0]["categories"] == ["nOI", "OnI"]
-    assert records[1]["categories"] == []
+                            "te_label", "tie_label", "factual_label"}
 
 
 def test_argmax_shift_invariance():

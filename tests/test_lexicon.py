@@ -19,14 +19,14 @@ def write_lexicon(tmp_path, text):
 
 def test_load_single_identity_entry(tmp_path):
     lex = load_lexicon(write_lexicon(tmp_path, "gay,nOI\n"))
-    assert len(lex) == 1
+    assert len(lex.entries) == 1
     assert lex.category("gay") == "nOI"
 
 
 def test_load_empty_file_is_valid(tmp_path):
     lex = load_lexicon(write_lexicon(tmp_path, ""))
-    assert len(lex) == 0
-    assert not match_biased_tokens(["anything"], lex)
+    assert len(lex.entries) == 0
+    assert not match_biased_tokens(["anything"], lex).tokens
 
 
 def test_load_masked_swear(tmp_path):
@@ -36,12 +36,12 @@ def test_load_masked_swear(tmp_path):
 
 def test_load_comments_and_blank_lines(tmp_path):
     lex = load_lexicon(write_lexicon(tmp_path, "# comment\n\ngay,nOI\n"))
-    assert len(lex) == 1
+    assert len(lex.entries) == 1
 
 
 def test_load_uppercase_surface_is_lowercased(tmp_path):
     lex = load_lexicon(write_lexicon(tmp_path, "Gay,nOI\n"))
-    assert "gay" in lex
+    assert "gay" in lex.entries
 
 
 def test_load_malformed_line_reports_line_number(tmp_path):
@@ -61,7 +61,7 @@ def test_load_conflicting_duplicate(tmp_path):
 
 def test_load_consistent_duplicate_ok(tmp_path):
     lex = load_lexicon(write_lexicon(tmp_path, "gay,nOI\ngay,nOI\n"))
-    assert len(lex) == 1
+    assert len(lex.entries) == 1
 
 
 def test_save_load_round_trip(tmp_path, tiny_lexicon):
@@ -81,7 +81,7 @@ def test_match_nothing(tiny_lexicon):
     matched = match_biased_tokens(["hello", "world"], tiny_lexicon)
     assert matched.tokens == ()
     assert matched.categories == frozenset()
-    assert not matched
+    assert not matched.tokens
 
 
 def test_match_case_insensitive_keeps_duplicates(tiny_lexicon):
@@ -92,7 +92,7 @@ def test_match_case_insensitive_keeps_duplicates(tiny_lexicon):
 
 def test_match_no_substring_matching(tiny_lexicon):
     # "class" must not match "ass"
-    assert not match_biased_tokens(["class"], tiny_lexicon)
+    assert not match_biased_tokens(["class"], tiny_lexicon).tokens
 
 
 def _brute_force(tokens, lexicon):
@@ -113,7 +113,7 @@ def test_match_agrees_with_brute_force(tokens, surfaces):
     lexicon = Lexicon({s: "OnI" for s in surfaces})
     matched = match_biased_tokens(tokens, lexicon)
     assert matched.tokens == _brute_force(tokens, lexicon)
-    assert all(t in lexicon for t in matched.tokens)
+    assert all(t in lexicon.entries for t in matched.tokens)
 
 
 @settings(max_examples=100, deadline=None)

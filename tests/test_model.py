@@ -17,8 +17,7 @@ from cfdetox.model import (
     fuse,
     init_params,
 )
-from cfdetox.training import total_loss
-from helpers import gradcheck, make_batch
+from helpers import gradcheck, make_batch, total_loss
 
 
 # ---------------------------------------------------------------------------

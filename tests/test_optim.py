@@ -14,7 +14,7 @@ def make_param(value, grad):
 def test_single_step_unit_gradient():
     # bias-corrected m-hat = v-hat = 1, so the step is exactly -lr/(1+eps)
     w = make_param(0.0, 1.0)
-    state = AdamWState(lr=0.1, weight_decay=0.0)
+    state = AdamWState(lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0)
     adamw_step({"w": w}, state)
     assert float(w.data) == pytest.approx(-0.1, abs=1e-8)
     assert state.step == 1
@@ -22,26 +22,26 @@ def test_single_step_unit_gradient():
 
 def test_zero_gradient_no_decay_is_fixed_point():
     w = make_param([1.0, -2.0], [0.0, 0.0])
-    adamw_step({"w": w}, AdamWState(lr=0.1, weight_decay=0.0))
+    adamw_step({"w": w}, AdamWState(lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0))
     assert w.data.tolist() == [1.0, -2.0]
 
 
 def test_decoupled_decay_only():
     w = make_param(1.0, 0.0)
-    adamw_step({"w": w}, AdamWState(lr=0.1, weight_decay=0.01))
+    adamw_step({"w": w}, AdamWState(lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01))
     assert float(w.data) == pytest.approx(0.999, abs=1e-12)
 
 
 def test_gradients_left_untouched():
     w = make_param(0.0, 1.0)
-    adamw_step({"w": w}, AdamWState(lr=0.1))
+    adamw_step({"w": w}, AdamWState(lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01))
     assert float(w.grad) == 1.0
 
 
 def test_missing_gradient_treated_as_zero():
     w = A.param(np.array([2.0]))
     assert w.grad is None
-    adamw_step({"w": w}, AdamWState(lr=0.1, weight_decay=0.0))
+    adamw_step({"w": w}, AdamWState(lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0))
     assert w.data.tolist() == [2.0]
 
 
@@ -72,7 +72,7 @@ def test_bit_deterministic_across_runs():
     def run():
         rng = np.random.default_rng(0)
         params = {f"p{i}": A.param(rng.normal(size=(4, 3))) for i in range(3)}
-        state = AdamWState(lr=1e-3)
+        state = AdamWState(lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01)
         for step in range(20):
             g_rng = np.random.default_rng(step)
             for p in params.values():

@@ -11,7 +11,7 @@ import pytest
 from cfdetox import model as M
 from cfdetox.data import EncodedBatch, Example, Vocab, encode_batch, generate_synthetic_corpus
 from cfdetox.lexicon import Lexicon
-from cfdetox.training import TrainConfig, lmixin_forward, predict_batch, sentence_branch_forward
+from cfdetox.training import MODE_SPECS, TrainConfig, lmixin_forward, predict_batch, sentence_branch_forward
 from helpers import examples_from
 
 LX, LB = TrainConfig().lx, TrainConfig().lb
@@ -108,14 +108,14 @@ def test_predict_batch_labels_are_padding_invariant(setup, index, lx, lb):
     params, batches = setup
     trimmed = batches[index]
     full = _pad_to(trimmed, lx, lb)
-    a = predict_batch(params, trimmed, "ccdf", "tie")
-    b = predict_batch(params, full, "ccdf", "tie")
+    a = predict_batch(params, trimmed, MODE_SPECS["ccdf"])
+    b = predict_batch(params, full, MODE_SPECS["ccdf"])
     for ra, rb in zip(a, b, strict=True):
         for rule in ("tie", "te", "factual"):
             assert ra[f"{rule}_label"] == rb[f"{rule}_label"]
         for key in ("fused_factual", "fused_counterfactual", "tie"):
             _close(np.asarray(ra[key]), np.asarray(rb[key]))
     for mode in ("lmixin", "vanilla"):
-        labels_a = [r["factual_label"] for r in predict_batch(params, trimmed, mode, "factual")]
-        labels_b = [r["factual_label"] for r in predict_batch(params, full, mode, "factual")]
+        labels_a = [r["factual_label"] for r in predict_batch(params, trimmed, MODE_SPECS[mode])]
+        labels_b = [r["factual_label"] for r in predict_batch(params, full, MODE_SPECS[mode])]
         assert labels_a == labels_b

@@ -7,12 +7,11 @@ import cfdetox.training as T
 from cfdetox import autodiff as A
 from cfdetox import model as M
 from cfdetox.checkpoint import save_params
-from cfdetox.data import encode_batch, generate_synthetic_corpus, nobias_batch, synthetic_lexicon
+from cfdetox.data import Vocab, encode_batch, generate_synthetic_corpus, nobias_batch, synthetic_lexicon
 from cfdetox.effects import inference_records
 from cfdetox.errors import ContractError, NumericsError, ValidationError
 from cfdetox.model import ScenarioLogits, ccdf_forward
 from cfdetox.training import (
-    INFERENCE_RULES,
     MODE_SPECS,
     TrainConfig,
     evaluate,
@@ -22,10 +21,9 @@ from cfdetox.training import (
     mode_forward,
     predict_batch,
     sentence_branch_forward,
-    total_loss,
     train,
 )
-from helpers import make_batch
+from helpers import examples_from, make_batch, total_loss
 
 
 def small_config(**overrides):
@@ -311,15 +309,12 @@ def test_predict_batch_reuses_the_factual_bias_score():
         for v in params.values():
             v.data = v.data + rng.normal(0, 0.5, v.data.shape)
         batch = make_batch(rng, n=int(rng.integers(1, 9)), vocab_size=11, lx=7, lb=4)
-        cats = [["nOI"] if i % 2 else [] for i in range(len(batch.labels))]
         expected = inference_records(
             ccdf_forward(params, batch, "factual"),
             ccdf_forward(params, batch, "counterfactual"),
             ccdf_forward(params, nobias_batch(batch), "counterfactual"),
-            cats,
         )
-        for rule in INFERENCE_RULES:
-            assert predict_batch(params, batch, "ccdf", rule, cats) == expected
+        assert predict_batch(params, batch, MODE_SPECS["ccdf"]) == expected
 
 
 @pytest.mark.parametrize("mode", ["ccdf", "vanilla"])
@@ -341,14 +336,30 @@ def test_predict_batch_records_no_graph(monkeypatch, mode):
     mode_forward(spec, params, batch)
     assert any(n._backward_fn is not None for n in nodes)
     nodes.clear()
-    assert len(predict_batch(params, batch, mode, "factual")) == 3
+    assert len(predict_batch(params, batch, spec)) == 3
     assert nodes
     assert [n.op for n in nodes if n._backward_fn is not None] == []
 
 
-def test_predict_batch_unknown_rule(tiny_params, tiny_lexicon):
-    batch = make_batch(np.random.default_rng(8), n=2)
-    with pytest.raises(ValidationError):
-        predict_batch(tiny_params, batch, "ccdf", "oracle")
-    with pytest.raises(ValidationError, match="unknown mode"):
-        predict_batch(tiny_params, batch, "secret", "factual")
+@pytest.mark.parametrize("mode, rule, message", [
+    pytest.param("ccdf", "oracle", "unknown inference rule", id="unknown-rule"),
+    pytest.param("vanilla", "tie", "requires a ccdf checkpoint", id="rule-needs-ccdf"),
+])
+def test_evaluate_rejects_rule_before_encoding(monkeypatch, tiny_params, tiny_lexicon, mode, rule, message):
+    examples = examples_from([("black hoe text", 1), ("plain words", 0)])
+    encoded = []
+    monkeypatch.setattr(T, "encode_batch", lambda *args, **kwargs: encoded.append(args))
+    with pytest.raises(ValidationError, match=message):
+        evaluate(tiny_params, small_config(mode=mode), examples, tiny_lexicon, Vocab.build(examples), rule)
+    assert len(encoded) == 0
+
+
+def test_evaluate_records_end_with_sorted_categories(tiny_params, tiny_lexicon):
+    # predict_batch returns model output only; evaluate appends the
+    # matched lexicon categories as each record's last key
+    examples = examples_from([("black hoe text", 1), ("plain words", 0)])
+    config = small_config(embed_dim=5, hidden=7, lx=6, lb=4)
+    records = evaluate(tiny_params, config, examples, tiny_lexicon, Vocab.build(examples), "tie").records
+    assert [list(r)[-1] for r in records] == ["categories", "categories"]
+    assert records[0]["categories"] == ["OnI", "nOI"]
+    assert records[1]["categories"] == []
