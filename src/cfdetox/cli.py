@@ -200,15 +200,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     examples = D.load_jsonl(args.data)
     lexicon = load_lexicon(args.lexicon)
-    rows = []
-    missing = 0
-    for surface in sorted(lexicon.entries):
-        try:
-            toxic, nontoxic, ratio = D.token_toxic_ratio(examples, surface)
-        except ValidationError:
-            missing += 1
-            continue
-        rows.append((surface, toxic, nontoxic, ratio))
+    rows = D.lexicon_label_stats(examples, lexicon)
+    missing = len(lexicon.entries) - len(rows)
     widths = max([len("Token")] + [len(r[0]) for r in rows])
     print(f"{'Token'.ljust(widths)}  {'Toxic':>7}  {'Non-Toxic':>9}  {'Ratio (%)':>9}")
     for surface, toxic, nontoxic, ratio in rows:
@@ -287,15 +280,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if not ood_examples:
             raise ValidationError(f"dataset {args.ood_data} is empty")
         ood_report = T.evaluate(params, config, ood_examples, lexicon, vocab, args.inference)
+    if args.records:
+        with open(args.records, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(record) + "\n" for record in report.records)
+        print(f"per-example records written to {args.records}")
+    # the report goes last, so a failed eval leaves no fresh report behind
     out = Path(args.out) if args.out else Path(args.checkpoint).parent / f"report-{args.inference}.json"
     payload = report.as_dict()
     if ood_report is not None:
         payload["ood"] = ood_report.as_dict()
     out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    if args.records:
-        with open(args.records, "w", encoding="utf-8") as fh:
-            fh.writelines(json.dumps(record) + "\n" for record in report.records)
-        print(f"per-example records written to {args.records}")
     print(render_table(report, ood_report))
     print(f"report written to {out}")
     return 0

@@ -125,10 +125,15 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
+        """One token per line; the reserved tokens first, no token twice."""
         path = Path(path)
         tokens = read_text(path).splitlines()
         if tokens[: len(RESERVED)] != list(RESERVED):
             raise ParseError(path, 1, f"first {len(RESERVED)} lines must be {RESERVED}")
+        first: dict[str, int] = {}
+        for line_no, token in enumerate(tokens, start=1):
+            if first.setdefault(token, line_no) != line_no:
+                raise ParseError(path, line_no, f"token {token!r} repeats line {first[token]}")
         return cls(tokens)
 
 
@@ -208,19 +213,19 @@ def nobias_batch(batch: EncodedBatch) -> EncodedBatch:
     )
 
 
-def token_toxic_ratio(examples: Sequence[Example], token: str) -> tuple[int, int, float]:
-    """Count examples containing ``token`` by label.
+def lexicon_label_stats(examples: Sequence[Example], lexicon: Lexicon) -> list[tuple[str, int, int, float]]:
+    """(surface, toxic, non-toxic, toxic percent) per lexicon surface that
+    occurs, by surface.
 
-    Returns (toxic_count, nontoxic_count, ratio_percent) where the ratio is
-    toxic / (toxic + nontoxic) * 100.  A token that never occurs is an
-    error rather than a 0/0.
+    Counts examples, not occurrences: each example is matched once and
+    each surface it matches counts once for its label.
     """
-    token = token.lower()
-    toxic = sum(1 for ex in examples if token in (t.lower() for t in ex.tokens) and ex.label == 1)
-    nontoxic = sum(1 for ex in examples if token in (t.lower() for t in ex.tokens) and ex.label == 0)
-    if toxic + nontoxic == 0:
-        raise ValidationError(f"token {token!r} has no occurrences in the dataset")
-    return toxic, nontoxic, 100.0 * toxic / (toxic + nontoxic)
+    counts: dict[str, list[int]] = {}
+    for ex in examples:
+        for surface in set(match_biased_tokens(ex.tokens, lexicon).tokens):
+            counts.setdefault(surface, [0, 0])[ex.label] += 1
+    return [(s, toxic, nontoxic, 100.0 * toxic / (toxic + nontoxic))
+            for s, (nontoxic, toxic) in sorted(counts.items())]
 
 
 # ---------------------------------------------------------------------------

@@ -39,17 +39,18 @@ def _not_utf8(path) -> ParseError:
 
 
 def read_text(path) -> str:
-    """The whole of a UTF-8 text file; other bytes raise ParseError."""
+    """The whole of a UTF-8 text file, less a leading byte-order mark;
+    other bytes raise ParseError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise _not_utf8(path) from exc
 
 
 def numbered_lines(path) -> Iterator[tuple[int, str]]:
-    """(1-based line number, line) pairs of a UTF-8 text file, read lazily;
-    other bytes raise ParseError."""
-    with open(path, encoding="utf-8") as fh:
+    """(1-based line number, line) pairs of a UTF-8 text file, read lazily
+    and less a leading byte-order mark; other bytes raise ParseError."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             yield from enumerate(fh, start=1)
         except UnicodeDecodeError as exc:

@@ -188,29 +188,24 @@ def fuse(*scores: Value) -> Value:
     return A.sub(A.log(z), A.log(A.add(z, 1.0)))
 
 
+def bias_head(bh: Value, b_mask: np.ndarray, params: dict[str, Value], drop: DropoutCtx | None = None) -> Value:
+    """Bias-head score [batch, 2] of encoded bias tokens ``bh`` [batch, Lb, d].
+
+    The pooled bias tokens pass a gradient stop, so no loss can reach the
+    encoder through this head.
+    """
+    return mlp(A.stop_gradient(A.mean_pool(bh, b_mask, axis=1)), "b", params, drop)
+
+
 def branch_forward(
-    e: Value | None,
-    x_pooled: Value | None,
-    b_pooled: Value,
+    e: Value,
+    x_pooled: Value,
+    y_b: Value,
     params: dict[str, Value],
-    scenario: Scenario,
     drop: DropoutCtx | None = None,
 ) -> ScenarioLogits:
-    """Head scores and fusion for one scenario.
-
-    Factual: all three heads respond to their inputs.  Counterfactual: the
-    ensemble and sentence heads are blocked and answer with the invariant
-    responses (e and x_pooled may be None).  The bias head sees the pooled
-    bias tokens through a gradient stop, so no loss can reach the encoder
-    through it.
-    """
-    if scenario not in ("factual", "counterfactual"):
-        raise ContractError(f"unknown scenario {scenario!r}")
-    y_b = mlp(A.stop_gradient(b_pooled), "b", params, drop)
-    if scenario == "counterfactual":
-        return counterfactual_logits(params, y_b)
-    if e is None or x_pooled is None:
-        raise ContractError("factual scenario needs the ensemble and pooled-sentence features")
+    """Factual head scores and fusion: the ensemble and sentence heads
+    respond to their features, next to the bias score ``y_b``."""
     y_e = mlp(e, "e", params, drop)
     y_x = mlp(x_pooled, "x", params, drop)
     return ScenarioLogits(y_e=y_e, y_x=y_x, y_b=y_b, fused=fuse(y_e, y_x, y_b), scenario="factual")
@@ -220,8 +215,11 @@ def counterfactual_logits(params: dict[str, Value], y_b: Value) -> ScenarioLogit
     """The counterfactual scenario for a bias score ``y_b`` [batch, 2].
 
     The ensemble and sentence heads are blocked and answer with the
-    invariant responses c_e/c_x, tiled over the batch; the fusion is the
-    only place the counterfactual score is built.
+    invariant responses c_e/c_x, tiled over the batch.  This is the only
+    constructor of the counterfactual scenario: with the factual pass's
+    ``y_b`` it gives the counterfactual on the same input, with the bias
+    head's score of the NOBIAS input the te reference.  Either way it never
+    touches the sentence path, so it is exactly invariant to the sentence.
     """
     n = y_b.data.shape[0]
     y_e = A.tile_rows(params["const.c_e"], n)
@@ -232,19 +230,13 @@ def counterfactual_logits(params: dict[str, Value], y_b: Value) -> ScenarioLogit
 def ccdf_forward(
     params: dict[str, Value],
     batch: EncodedBatch,
-    scenario: Scenario,
     drop: DropoutCtx | None = None,
 ) -> ScenarioLogits:
-    """Full forward pass for one encoded batch.
-
-    The counterfactual scenario never touches the sentence path, so its
-    outputs are exactly invariant to the sentence by construction.
-    """
+    """The factual pass of the full model over one encoded batch: every
+    head live.  Build its counterfactual from its ``y_b`` with
+    :func:`counterfactual_logits`."""
     bh = encode(batch.b_ids, batch.b_mask, params, drop, site="enc_b")
-    b_pooled = A.mean_pool(bh, batch.b_mask, axis=1)
-    if scenario == "counterfactual":
-        return branch_forward(None, None, b_pooled, params, "counterfactual", drop)
+    y_b = bias_head(bh, batch.b_mask, params, drop)
     xh = encode(batch.x_ids, batch.x_mask, params, drop, site="enc_x")
     e = cross_attention_ensemble(xh, bh, batch.x_mask, batch.b_mask)
-    x_pooled = A.mean_pool(xh, batch.x_mask, axis=1)
-    return branch_forward(e, x_pooled, b_pooled, params, "factual", drop)
+    return branch_forward(e, A.mean_pool(xh, batch.x_mask, axis=1), y_b, params, drop)

@@ -170,12 +170,11 @@ def sentence_branch_forward(
 def lmixin_forward(
     params: dict[str, Value], batch: EncodedBatch, drop: DropoutCtx | None = None
 ) -> tuple[Value, Value, Value]:
-    """Two-branch forward: (y_x, y_b, fused2); the bias path is detached
-    from the encoder exactly as in the full model."""
-    xh = M.encode(batch.x_ids, batch.x_mask, params, drop, site="enc_x")
+    """Two-branch forward: (y_x, y_b, fused2); the full model's bias head,
+    detached from the encoder."""
+    y_x = sentence_branch_forward(params, batch, drop)
     bh = M.encode(batch.b_ids, batch.b_mask, params, drop, site="enc_b")
-    y_x = M.mlp(A.mean_pool(xh, batch.x_mask, axis=1), "x", params, drop)
-    y_b = M.mlp(A.stop_gradient(A.mean_pool(bh, batch.b_mask, axis=1)), "b", params, drop)
+    y_b = M.bias_head(bh, batch.b_mask, params, drop)
     return y_x, y_b, M.fuse(y_x, y_b)
 
 
@@ -184,7 +183,7 @@ def mode_forward(
 ) -> ScenarioLogits:
     """Factual scores of the mode's heads; a head the mode lacks is None."""
     if "e" in spec.branches:
-        return M.ccdf_forward(params, batch, "factual", drop)
+        return M.ccdf_forward(params, batch, drop)
     if "b" in spec.branches:
         y_x, y_b, fused = lmixin_forward(params, batch, drop)
         return ScenarioLogits(y_e=None, y_x=y_x, y_b=y_b, fused=fused, scenario="factual")
@@ -200,17 +199,20 @@ def predict_batch(params: dict[str, Value], batch: EncodedBatch, spec: ModeSpec)
     """Inference records for one encoded batch (dropout off).
 
     With invariant responses all three rules come from one sweep: the
-    factual pass, the counterfactual built from the factual pass's bias
-    score, and the NOBIAS-reference pass.  Other modes get
-    ``{"factual_label"}`` read off the sentence head.  Records hold model
-    output only; the caller adds ``categories``.  The parameters are read
-    as constant leaves, so no op records a backward closure.
+    factual pass, the counterfactual built from its bias score, and the te
+    reference, the counterfactual built from the bias head's score of the
+    NOBIAS input.  Other modes get ``{"factual_label"}`` read off the
+    sentence head.  Records hold model output only; the caller adds
+    ``categories``.  The parameters are read as constant leaves, so no op
+    records a backward closure.
     """
     params = {name: A.const(p.data, name) for name, p in params.items()}
     if spec.invariant_responses:
-        factual = M.ccdf_forward(params, batch, "factual")
+        factual = M.ccdf_forward(params, batch)
         counterfactual = M.counterfactual_logits(params, factual.y_b)
-        reference = M.ccdf_forward(params, nobias_batch(batch), "counterfactual")
+        nobias = nobias_batch(batch)
+        bh = M.encode(nobias.b_ids, nobias.b_mask, params, site="enc_b")
+        reference = M.counterfactual_logits(params, M.bias_head(bh, nobias.b_mask, params))
         return inference_records(factual, counterfactual, reference)
     scores = sentence_branch_forward(params, batch).data
     return [{"factual_label": argmax_label(row)} for row in scores]

@@ -6,9 +6,9 @@ import numpy as np
 
 from cfdetox import autodiff as A
 from cfdetox.autodiff import Value
-from cfdetox.data import EncodedBatch, Example
+from cfdetox.data import EncodedBatch, Example, nobias_batch
 from cfdetox.effects import EffectBundle, effects
-from cfdetox.model import FUSION_GUARD_EPS, ScenarioLogits
+from cfdetox.model import FUSION_GUARD_EPS, ScenarioLogits, ccdf_forward, counterfactual_logits
 from cfdetox.training import _sum_terms, loss_terms
 
 
@@ -49,9 +49,18 @@ def total_loss(logits: ScenarioLogits, labels: np.ndarray) -> Value:
     """Sum of the fused and per-branch cross-entropies.
 
     The bias-branch term cannot reach the encoder: the bias head's input
-    carries a gradient stop (see model.branch_forward).
+    carries a gradient stop (see model.bias_head).
     """
     return _sum_terms(loss_terms(logits, labels))
+
+
+def ccdf_scenarios(params: dict[str, Value], batch: EncodedBatch) -> tuple[ScenarioLogits, ...]:
+    """(factual, counterfactual, reference) for one batch, as inference
+    builds them: both counterfactuals come from a factual pass's bias
+    score, of the batch and of its NOBIAS twin."""
+    factual = ccdf_forward(params, batch)
+    reference_y_b = ccdf_forward(params, nobias_batch(batch)).y_b
+    return factual, counterfactual_logits(params, factual.y_b), counterfactual_logits(params, reference_y_b)
 
 
 def scenario_logits(fused, scenario: str) -> ScenarioLogits:

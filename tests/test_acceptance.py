@@ -19,10 +19,10 @@ from cfdetox import effects as E
 from cfdetox import model as M
 from cfdetox import training as T
 from cfdetox.cli import main
-from cfdetox.data import encode_batch, nobias_batch
+from cfdetox.data import encode_batch
 from cfdetox.lexicon import load_lexicon, match_biased_tokens
 from cfdetox.metrics import Confusion, accuracy, f1_binary, fpr
-from helpers import gradcheck, graph_effects, harmonic_fusion, make_batch, total_loss
+from helpers import ccdf_scenarios, gradcheck, graph_effects, harmonic_fusion, make_batch, total_loss
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -128,10 +128,7 @@ def test_causal_identity():
             for v in params.values():
                 v.data = v.data + rng.normal(0, 0.5, v.data.shape)
             batch = make_batch(rng, n=1, vocab_size=9, lx=5, lb=3)
-            f = M.ccdf_forward(params, batch, "factual")
-            cf = M.ccdf_forward(params, batch, "counterfactual")
-            ref = M.ccdf_forward(params, nobias_batch(batch), "counterfactual")
-            bundle = E.effects(f, cf, ref)
+            bundle = E.effects(*ccdf_scenarios(params, batch))
         else:
             y_e, y_x, y_b, c_e, c_x, y_b_star = (rng.normal(size=2) * 2 for _ in range(6))
             bundle = graph_effects((y_e, y_x), (c_e, c_x), y_b, y_b_star)
@@ -162,8 +159,8 @@ def test_counterfactual_x_invariance():
         b = make_batch(rng, n=1, vocab_size=14, lx=7, lb=4)
         b = type(b)(x_ids=b.x_ids, b_ids=a.b_ids, x_mask=b.x_mask, b_mask=a.b_mask,
                     labels=b.labels)
-        fa = M.ccdf_forward(params, a, "counterfactual").fused.data
-        fb = M.ccdf_forward(params, b, "counterfactual").fused.data
+        fa, fb = (M.counterfactual_logits(params, M.ccdf_forward(params, batch).y_b).fused.data
+                  for batch in (a, b))
         exact += int((fa == fb).all())
     report("counterfactual X-invariance", exact == 100,
            f"{exact}/100 sentence pairs sharing the bias tokens match bit-exactly")
@@ -190,7 +187,7 @@ def test_gradient_checks(monkeypatch):
             v.data = v.data + rng.normal(0, 0.4, v.data.shape)
         batch = make_batch(rng, n=2, vocab_size=10, lx=5, lb=3)
 
-        logits = M.ccdf_forward(params, batch, "factual")
+        logits = M.ccdf_forward(params, batch)
         z = np.tanh(logits.y_e.data) * np.tanh(logits.y_x.data) * np.tanh(logits.y_b.data)
         z_cf = (np.tanh(params["const.c_e"].data) * np.tanh(params["const.c_x"].data)
                 * np.tanh(logits.y_b.data))
@@ -199,10 +196,9 @@ def test_gradient_checks(monkeypatch):
             continue
 
         def build():
-            logits = M.ccdf_forward(params, batch, "factual")
+            logits = M.ccdf_forward(params, batch)
             loss = total_loss(logits, batch.labels)
-            fused_cf = M.fuse(A.tile_rows(params["const.c_e"], 2),
-                              A.tile_rows(params["const.c_x"], 2), logits.y_b)
+            fused_cf = M.counterfactual_logits(params, logits.y_b).fused
             return A.add(loss, A.cross_entropy(fused_cf, batch.labels))
 
         worst = max(worst, gradcheck(build, list(params.values()),
@@ -231,7 +227,7 @@ def test_gradient_stop():
         batch = make_batch(rng, n=4, vocab_size=12)
 
         A.zero_grads(params.values())
-        terms = T.loss_terms(M.ccdf_forward(params, batch, "factual"), batch.labels)
+        terms = T.loss_terms(M.ccdf_forward(params, batch), batch.labels)
         loss = terms["f"]
         for k in ("e", "x", "b"):
             loss = A.add(loss, terms[k])
@@ -241,7 +237,7 @@ def test_gradient_stop():
         min_bias_grad = min(min_bias_grad, bias_own)
 
         A.zero_grads(params.values())
-        terms = T.loss_terms(M.ccdf_forward(params, batch, "factual"), batch.labels)
+        terms = T.loss_terms(M.ccdf_forward(params, batch), batch.labels)
         loss = terms["f"]
         for k in ("e", "x"):
             loss = A.add(loss, terms[k])

@@ -158,6 +158,12 @@ def test_train_config_file_and_flag_precedence(corpus_dir, tmp_path):
     assert "epochs=1" in echoed
 
 
+def test_config_file_skips_leading_byte_order_mark(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("\ufeffepochs=2\n", encoding="utf-8")
+    assert _parse_config_file(cfg) == {"epochs": 2}
+
+
 def test_train_unknown_config_key(corpus_dir, tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("warp_speed=9\n", encoding="utf-8")
@@ -264,6 +270,17 @@ def test_eval_records_need_ccdf_checkpoint(corpus_dir, tmp_path, capsys):
     assert rc == 1
     assert "ccdf" in capsys.readouterr().err
     assert not (tmp_path / "records.jsonl").exists()
+
+
+def test_eval_that_fails_writes_no_report(run_dir, corpus_dir, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    rc = main(["eval", "--checkpoint", str(run_dir / "model.bin"),
+               "--data", str(corpus_dir / "test_iid.jsonl"),
+               "--lexicon", str(corpus_dir / "lexicon.csv"),
+               "--out", str(report), "--records", str(tmp_path / "missing" / "records.jsonl")])
+    assert rc == 2
+    _assert_one_line_error(capsys, "No such file or directory")
+    assert not report.exists()
 
 
 def test_eval_with_ood_column(run_dir, corpus_dir, capsys):

@@ -10,15 +10,17 @@ from cfdetox.data import (
     Vocab,
     encode_batch,
     generate_synthetic_corpus,
+    lexicon_label_stats,
     load_jsonl,
     nobias_batch,
     save_jsonl,
-    token_toxic_ratio,
     tokenize,
 )
 from cfdetox.errors import ParseError, ValidationError
 from cfdetox.lexicon import Lexicon
 from helpers import examples_from
+
+BOM = "\ufeff"
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +91,16 @@ def test_load_jsonl_bool_label_rejected(tmp_path):
         load_jsonl(path)
 
 
+def test_load_jsonl_skips_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text(BOM + '{"text": "a", "label": 0}\n', encoding="utf-8")
+    assert load_jsonl(path) == examples_from([("a", 0)])
+    # only byte 0 is skipped: a BOM further on is content
+    path.write_text('{"text": "a", "label": 0}\n' + BOM + '{"text": "b", "label": 1}\n', encoding="utf-8")
+    with pytest.raises(ParseError, match=":2:.*BOM"):
+        load_jsonl(path)
+
+
 def test_jsonl_round_trip(tmp_path):
     examples = examples_from([("a b", 0), ("c", 1)])
     path = tmp_path / "d.jsonl"
@@ -117,6 +129,19 @@ def test_vocab_load_rejects_bad_reserved(tmp_path):
     (tmp_path / "vocab.txt").write_text("a\nb\nc\nd\ne\n", encoding="utf-8")
     with pytest.raises(ParseError):
         Vocab.load(tmp_path / "vocab.txt")
+
+
+def test_vocab_load_rejects_a_repeated_token(tmp_path):
+    # a line overwritten by a copy of its neighbour would read "about" as UNK
+    (tmp_path / "vocab.txt").write_text("\n".join([*D.RESERVED, "about", "the", "the"]) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"vocab.txt:7: token 'the' repeats line 6"):
+        Vocab.load(tmp_path / "vocab.txt")
+
+
+def test_vocab_load_skips_leading_byte_order_mark(tmp_path):
+    v = Vocab.build(examples_from([("a b", 0)]))
+    (tmp_path / "vocab.txt").write_text(BOM + "\n".join(v.tokens) + "\n", encoding="utf-8")
+    assert Vocab.load(tmp_path / "vocab.txt").tokens == v.tokens
 
 
 def test_encode_interleaves_separator(tiny_lexicon):
@@ -222,36 +247,36 @@ def test_nobias_batch_resets_all_rows(tiny_lexicon):
 
 
 # ---------------------------------------------------------------------------
-# token_toxic_ratio
+# lexicon_label_stats
 # ---------------------------------------------------------------------------
 
-def _count_examples(token, toxic, nontoxic):
+def _label_stats(token, toxic, nontoxic, surfaces=None):
     rows = [(f"{token} here", 1)] * toxic + [(f"{token} there", 0)] * nontoxic
-    return examples_from(rows)
+    lexicon = Lexicon({s: "OnI" for s in surfaces or [token]})
+    return lexicon_label_stats(examples_from(rows), lexicon)
 
 
-def test_ratio_table_row_black():
-    assert token_toxic_ratio(_count_examples("black", 244, 76), "black") == (244, 76, 76.25)
+def test_label_stats_row_black():
+    assert _label_stats("black", 244, 76) == [("black", 244, 76, 76.25)]
 
 
-def test_ratio_table_row_masked_slur():
-    toxic, nontoxic, ratio = token_toxic_ratio(_count_examples("n*gga", 541, 17), "n*gga")
-    assert (toxic, nontoxic) == (541, 17)
+def test_label_stats_row_masked_slur():
+    [(surface, toxic, nontoxic, ratio)] = _label_stats("n*gga", 541, 17)
+    assert (surface, toxic, nontoxic) == ("n*gga", 541, 17)
     assert ratio == pytest.approx(96.95, abs=0.005)
 
 
-def test_ratio_symmetric():
-    assert token_toxic_ratio(_count_examples("x", 5, 5), "x")[2] == 50.0
+def test_label_stats_symmetric():
+    assert _label_stats("x", 5, 5)[0][3] == 50.0
 
 
-def test_ratio_counts_examples_not_occurrences():
+def test_label_stats_counts_examples_not_occurrences():
     examples = examples_from([("ass ass ass", 1), ("no match", 0)])
-    assert token_toxic_ratio(examples, "ass") == (1, 0, 100.0)
+    assert lexicon_label_stats(examples, Lexicon({"ass": "OnI"})) == [("ass", 1, 0, 100.0)]
 
 
-def test_ratio_no_occurrences_is_error():
-    with pytest.raises(ValidationError, match="no occurrences"):
-        token_toxic_ratio(_count_examples("a", 1, 1), "missing")
+def test_label_stats_omit_surfaces_without_occurrences():
+    assert _label_stats("a", 1, 1, surfaces=["a", "missing"]) == [("a", 1, 1, 50.0)]
 
 
 # ---------------------------------------------------------------------------

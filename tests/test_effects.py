@@ -4,8 +4,7 @@ import pytest
 from cfdetox import effects as E
 from cfdetox.data import encode_batch, nobias_batch, Vocab
 from cfdetox.errors import ContractError
-from cfdetox.model import ccdf_forward
-from helpers import examples_from, graph_effects, harmonic_fusion, make_batch, scenario_logits as fake_logits
+from helpers import ccdf_scenarios, examples_from, graph_effects, harmonic_fusion, make_batch, scenario_logits as fake_logits
 
 
 # ---------------------------------------------------------------------------
@@ -54,9 +53,7 @@ def test_nde_zero_when_bias_equals_reference(tiny_params):
     rng = np.random.default_rng(0)
     batch = make_batch(rng, n=3)
     ref_batch = nobias_batch(batch)
-    f = ccdf_forward(tiny_params, ref_batch, "factual")
-    cf = ccdf_forward(tiny_params, ref_batch, "counterfactual")
-    ref = ccdf_forward(tiny_params, nobias_batch(ref_batch), "counterfactual")
+    f, cf, ref = ccdf_scenarios(tiny_params, ref_batch)
     assert (E.effects(f, cf, ref).nde == 0).all()
 
 
@@ -75,9 +72,7 @@ def test_nde_depends_only_on_bias_tokens(tiny_params):
         b = type(b)(x_ids=b.x_ids, b_ids=a.b_ids, x_mask=b.x_mask, b_mask=a.b_mask, labels=b.labels)
         nde = []
         for batch in (a, b):
-            f = ccdf_forward(tiny_params, batch, "factual")
-            cf = ccdf_forward(tiny_params, batch, "counterfactual")
-            ref = ccdf_forward(tiny_params, nobias_batch(batch), "counterfactual")
+            f, cf, ref = ccdf_scenarios(tiny_params, batch)
             nde.append(E.effects(f, cf, ref).nde)
         assert (nde[0] == nde[1]).all()
 
@@ -136,9 +131,7 @@ def test_tie_equals_te_minus_nde_through_model(tiny_params):
     rng = np.random.default_rng(3)
     for _ in range(50):
         batch = make_batch(rng, n=1)
-        f = ccdf_forward(tiny_params, batch, "factual")
-        cf = ccdf_forward(tiny_params, batch, "counterfactual")
-        ref = ccdf_forward(tiny_params, nobias_batch(batch), "counterfactual")
+        f, cf, ref = ccdf_scenarios(tiny_params, batch)
         bundle = E.effects(f, cf, ref)
         assert (bundle.tie == f.fused.data - cf.fused.data).all()
         assert np.abs(bundle.te - bundle.nde - bundle.tie).max() <= 1e-12
@@ -194,9 +187,7 @@ def test_inference_records_schema(tiny_params, tiny_lexicon):
     examples = examples_from([("black hoe text", 1), ("plain words", 0)])
     vocab = Vocab.build(examples)
     batch = encode_batch(examples, tiny_lexicon, vocab, 6, 4)
-    f = ccdf_forward(tiny_params, batch, "factual")
-    cf = ccdf_forward(tiny_params, batch, "counterfactual")
-    ref = ccdf_forward(tiny_params, nobias_batch(batch), "counterfactual")
+    f, cf, ref = ccdf_scenarios(tiny_params, batch)
     records = E.inference_records(f, cf, ref)
     assert len(records) == 2
     for rec in records:

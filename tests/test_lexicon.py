@@ -44,6 +44,11 @@ def test_load_uppercase_surface_is_lowercased(tmp_path):
     assert "gay" in lex.entries
 
 
+def test_load_skips_leading_byte_order_mark(tmp_path):
+    lex = load_lexicon(write_lexicon(tmp_path, "\ufeffzorp,nOI\ngrax,OI\n"))
+    assert match_biased_tokens(("the", "zorp", "grax"), lex).tokens == ("zorp", "grax")
+
+
 def test_load_malformed_line_reports_line_number(tmp_path):
     with pytest.raises(ParseError, match=":2:"):
         load_lexicon(write_lexicon(tmp_path, "gay,nOI\nnot-a-pair\n"))

@@ -10,8 +10,8 @@ from cfdetox.errors import ContractError
 from cfdetox.model import (
     DropoutCtx,
     ModelConfig,
-    branch_forward,
     ccdf_forward,
+    counterfactual_logits,
     cross_attention_ensemble,
     encode,
     fuse,
@@ -161,7 +161,7 @@ def test_fuse_needs_two_scores():
 def test_counterfactual_scores_are_invariant_responses(tiny_params):
     rng = np.random.default_rng(8)
     batch = make_batch(rng, n=3)
-    logits = ccdf_forward(tiny_params, batch, "counterfactual")
+    logits = counterfactual_logits(tiny_params, ccdf_forward(tiny_params, batch).y_b)
     assert (logits.y_e.data == tiny_params["const.c_e"].data).all()
     assert (logits.y_x.data == tiny_params["const.c_x"].data).all()
     assert logits.scenario == "counterfactual"
@@ -174,8 +174,7 @@ def test_counterfactual_ignores_the_sentence(tiny_params):
         x_ids=np.roll(a.x_ids, 1, axis=1), b_ids=a.b_ids,
         x_mask=np.roll(a.x_mask, 1, axis=1), b_mask=a.b_mask, labels=a.labels,
     )
-    la = ccdf_forward(tiny_params, a, "counterfactual")
-    lb = ccdf_forward(tiny_params, b, "counterfactual")
+    la, lb = (counterfactual_logits(tiny_params, ccdf_forward(tiny_params, batch).y_b) for batch in (a, b))
     assert (la.fused.data == lb.fused.data).all()
     assert (la.y_b.data == lb.y_b.data).all()
 
@@ -187,21 +186,9 @@ def test_zero_weight_heads_return_biases():
         params[f"branch.{br}.w2"].data[:] = 0.0
         params[f"branch.{br}.b2"].data[:] = [0.25, -0.5]
     batch = make_batch(np.random.default_rng(11), n=2)
-    logits = ccdf_forward(params, batch, "factual")
+    logits = ccdf_forward(params, batch)
     for y in (logits.y_e, logits.y_x, logits.y_b):
         assert y.data == pytest.approx(np.tile([0.25, -0.5], (2, 1)), abs=1e-12)
-
-
-def test_factual_needs_features(tiny_params):
-    pooled = A.const(np.ones((1, 5)))
-    with pytest.raises(ContractError):
-        branch_forward(None, None, pooled, tiny_params, "factual")
-
-
-def test_unknown_scenario_rejected(tiny_params):
-    pooled = A.const(np.ones((1, 5)))
-    with pytest.raises(ContractError):
-        branch_forward(None, None, pooled, tiny_params, "sideways")
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +211,10 @@ def test_full_forward_gradients_match_finite_differences(monkeypatch):
         batch = make_batch(rng, n=2, vocab_size=10, lx=5, lb=3)
 
         def build():
-            logits = ccdf_forward(params, batch, "factual")
+            logits = ccdf_forward(params, batch)
             return total_loss(logits, batch.labels)
 
-        logits = ccdf_forward(params, batch, "factual")
+        logits = ccdf_forward(params, batch)
         z = (np.tanh(logits.y_e.data) * np.tanh(logits.y_x.data) * np.tanh(logits.y_b.data))
         if np.abs(z).min() < 1e-3:  # too close to the fusion guard's kink
             continue

@@ -7,7 +7,7 @@ import cfdetox.training as T
 from cfdetox import autodiff as A
 from cfdetox import model as M
 from cfdetox.checkpoint import save_params
-from cfdetox.data import Vocab, encode_batch, generate_synthetic_corpus, nobias_batch, synthetic_lexicon
+from cfdetox.data import Vocab, encode_batch, generate_synthetic_corpus, synthetic_lexicon
 from cfdetox.effects import inference_records
 from cfdetox.errors import ContractError, NumericsError, ValidationError
 from cfdetox.model import ScenarioLogits, ccdf_forward
@@ -23,7 +23,7 @@ from cfdetox.training import (
     sentence_branch_forward,
     train,
 )
-from helpers import examples_from, make_batch, total_loss
+from helpers import ccdf_scenarios, examples_from, make_batch, total_loss
 
 
 def small_config(**overrides):
@@ -61,7 +61,7 @@ def test_total_loss_rejects_bad_labels():
 
 def test_total_loss_needs_factual_scenario(tiny_params):
     batch = make_batch(np.random.default_rng(0), n=2)
-    logits = ccdf_forward(tiny_params, batch, "counterfactual")
+    logits = M.counterfactual_logits(tiny_params, ccdf_forward(tiny_params, batch).y_b)
     with pytest.raises(ContractError):
         total_loss(logits, batch.labels)
 
@@ -73,7 +73,7 @@ def test_encoder_gradient_sees_no_bias_loss(tiny_params):
 
     def encoder_grads(include_bias_term):
         A.zero_grads(tiny_params.values())
-        terms = loss_terms(ccdf_forward(tiny_params, batch, "factual"), batch.labels)
+        terms = loss_terms(ccdf_forward(tiny_params, batch), batch.labels)
         keys = ("f", "e", "x", "b") if include_bias_term else ("f", "e", "x")
         loss = terms[keys[0]]
         for k in keys[1:]:
@@ -93,7 +93,7 @@ def test_bias_head_still_trains(tiny_params):
         v.data = v.data + rng.normal(0, 0.3, v.data.shape)
     batch = make_batch(rng, n=4)
     A.zero_grads(tiny_params.values())
-    terms = loss_terms(ccdf_forward(tiny_params, batch, "factual"), batch.labels)
+    terms = loss_terms(ccdf_forward(tiny_params, batch), batch.labels)
     A.backward(terms["b"])
     assert np.abs(tiny_params["branch.b.w1"].grad).max() > 0
     assert np.abs(tiny_params["branch.b.b2"].grad).max() > 0
@@ -106,7 +106,7 @@ def test_invariant_response_loss_reaches_only_the_responses(tiny_params):
     rng = np.random.default_rng(3)
     batch = make_batch(rng, n=4)
     A.zero_grads(tiny_params.values())
-    logits = ccdf_forward(tiny_params, batch, "factual")
+    logits = ccdf_forward(tiny_params, batch)
     A.backward(invariant_response_loss(logits, tiny_params, batch.labels))
     touched = {n for n, v in tiny_params.items() if v.grad is not None and np.abs(v.grad).max() > 0}
     assert touched <= {"const.c_e", "const.c_x"}
@@ -138,6 +138,9 @@ def test_mode_forward_loss_terms_per_mode(tiny_params):
     y_x = sentence_branch_forward(tiny_params, batch).data
     for spec in MODE_SPECS.values():
         assert (mode_forward(spec, tiny_params, batch).y_x.data == y_x).all()
+    # and both modes with a bias head share it
+    y_b = [mode_forward(MODE_SPECS[mode], tiny_params, batch).y_b.data for mode in ("ccdf", "lmixin")]
+    assert (y_b[0] == y_b[1]).all()
 
 
 def test_config_rejects_unknown_mode():
@@ -300,8 +303,8 @@ def test_single_branch_checkpoint_rejects_tie_inference():
 
 
 def test_predict_batch_reuses_the_factual_bias_score():
-    # the counterfactual built from the factual pass's bias score must give
-    # the records of three separate forward passes, bit for bit
+    # the NOBIAS reference built from the bias head alone must give the
+    # records of the reference built from a full factual pass, bit for bit
     rng = np.random.default_rng(10)
     for _ in range(20):
         cfg = M.ModelConfig(vocab_size=11, embed_dim=5, hidden=6)
@@ -309,11 +312,7 @@ def test_predict_batch_reuses_the_factual_bias_score():
         for v in params.values():
             v.data = v.data + rng.normal(0, 0.5, v.data.shape)
         batch = make_batch(rng, n=int(rng.integers(1, 9)), vocab_size=11, lx=7, lb=4)
-        expected = inference_records(
-            ccdf_forward(params, batch, "factual"),
-            ccdf_forward(params, batch, "counterfactual"),
-            ccdf_forward(params, nobias_batch(batch), "counterfactual"),
-        )
+        expected = inference_records(*ccdf_scenarios(params, batch))
         assert predict_batch(params, batch, MODE_SPECS["ccdf"]) == expected
 
 
