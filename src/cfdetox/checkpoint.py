@@ -91,10 +91,16 @@ def save_params(path: str | Path, params: dict[str, Value]) -> None:
 def load_params(path: str | Path, expect_shapes: dict[str, tuple[int, ...]] | None = None) -> dict[str, Value]:
     """Load a checkpoint into fresh trainable Values.
 
-    When ``expect_shapes`` is given (e.g. derived from a vocabulary and a
-    model config), any missing name or shape disagreement raises ShapeError.
+    A non-finite value raises ParseError naming the first parameter, in
+    file order, that holds one.  When ``expect_shapes`` is given (e.g.
+    derived from a vocabulary and a model config), any missing name or
+    shape disagreement raises ShapeError.
     """
     arrays = load_arrays(path)
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            index = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
+            raise ParseError(path, 1, f"parameter {name!r} holds {arr[index]} at index {index}")
     if expect_shapes is not None:
         for name, shape in expect_shapes.items():
             if name not in arrays:

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
+import os
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -101,7 +103,7 @@ def build_parser() -> _Parser:
     p.add_argument("--ood-data", default=None, help="optional second dataset for the OOD column")
     p.add_argument("--out", default=None, help="report JSON path (default: report-<rule>.json beside the checkpoint)")
     p.add_argument("--records", default=None,
-                   help="also write one JSONL inference record per example (ccdf checkpoints)")
+                   help="also write one JSONL inference record per example")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("infer", help="debiased prediction for one sentence",
@@ -265,31 +267,52 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_all(outputs: dict[Path, str]) -> None:
+    """Write every file or none: each text goes to a temporary file beside
+    its target, and the temporaries replace their targets only once all
+    of them are written."""
+    staged: list[tuple[Path, Path]] = []
+    try:
+        for target, text in outputs.items():
+            tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+            staged.append((tmp, target))
+            try:
+                if target.is_dir():  # caught now, not by os.replace after an earlier move
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                tmp.write_text(text, encoding="utf-8")
+            except OSError as exc:  # name the file the user asked for
+                raise OSError(exc.errno, exc.strerror, str(target)) from exc
+        for tmp, target in staged:
+            os.replace(tmp, target)
+    finally:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
+    out = Path(args.out) if args.out else Path(args.checkpoint).parent / f"report-{args.inference}.json"
+    if args.records and Path(args.records).resolve() == out.resolve():
+        raise ValidationError(f"--records and the report are the same file: {out}")
     params, config, vocab = _load_checkpoint(args.checkpoint)
-    if args.records and not config.spec.invariant_responses:
-        raise ValidationError("--records needs a ccdf checkpoint (no effect scores otherwise)")
     lexicon = load_lexicon(args.lexicon)
     examples = D.load_jsonl(args.data)
     if not examples:
         raise ValidationError(f"dataset {args.data} is empty")
-    report = T.evaluate(params, config, examples, lexicon, vocab, args.inference)
+    report, records = T.evaluate(params, config, examples, lexicon, vocab, args.inference)
+    payload = asdict(report)
     ood_report = None
     if args.ood_data:
         ood_examples = D.load_jsonl(args.ood_data)
         if not ood_examples:
             raise ValidationError(f"dataset {args.ood_data} is empty")
-        ood_report = T.evaluate(params, config, ood_examples, lexicon, vocab, args.inference)
+        ood_report, _ = T.evaluate(params, config, ood_examples, lexicon, vocab, args.inference)
+        payload["ood"] = asdict(ood_report)
+    outputs = {out: json.dumps(payload, indent=2) + "\n"}
     if args.records:
-        with open(args.records, "w", encoding="utf-8") as fh:
-            fh.writelines(json.dumps(record) + "\n" for record in report.records)
+        outputs[Path(args.records)] = "".join(json.dumps(record) + "\n" for record in records)
+    _write_all(outputs)
+    if args.records:
         print(f"per-example records written to {args.records}")
-    # the report goes last, so a failed eval leaves no fresh report behind
-    out = Path(args.out) if args.out else Path(args.checkpoint).parent / f"report-{args.inference}.json"
-    payload = report.as_dict()
-    if ood_report is not None:
-        payload["ood"] = ood_report.as_dict()
-    out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(render_table(report, ood_report))
     print(f"report written to {out}")
     return 0
@@ -299,8 +322,6 @@ def cmd_infer(args: argparse.Namespace) -> int:
     if not args.text.strip():
         raise ValidationError("--text is empty")
     params, config, vocab = _load_checkpoint(args.checkpoint)
-    if not config.spec.invariant_responses:
-        raise ValidationError(f"infer needs a ccdf checkpoint, got mode {config.mode!r}")
     lexicon = load_lexicon(args.lexicon)
     example = D.Example.from_text(args.text, 0)
     matched = match_biased_tokens(example.tokens, lexicon)

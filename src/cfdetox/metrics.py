@@ -7,7 +7,7 @@ with no true negatives has no defined false-positive rate.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from cfdetox.errors import ValidationError
@@ -110,8 +110,6 @@ class EvalReport:
 
     ``by_rule`` (present for checkpoints that support several inference
     rules) carries overall accuracy/F1 under each rule for comparison.
-    ``records`` holds the per-example inference records the report was
-    built from; it is not part of the serialized report.
     """
 
     dataset_size: int
@@ -123,14 +121,6 @@ class EvalReport:
     f1_weighted: float | None
     per_category: dict[str, CategoryReport] = field(default_factory=dict)
     by_rule: dict[str, dict] = field(default_factory=dict)
-    records: list[dict] = field(default_factory=list, repr=False)
-
-    def as_dict(self) -> dict:
-        """The serialized report, in field order, without ``records``
-        (cleared before ``asdict``, which would deep-copy them)."""
-        out = asdict(replace(self, records=[]))
-        del out["records"]
-        return out
 
 
 def build_report(

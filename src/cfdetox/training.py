@@ -225,16 +225,17 @@ def evaluate(
     lexicon: Lexicon,
     vocab: Vocab,
     inference: str,
-) -> EvalReport:
-    """Full evaluation of a parameter set on a dataset.
+) -> tuple[EvalReport, list[dict]]:
+    """Full evaluation of a parameter set on a dataset: the report and
+    the per-example inference records it was built from, in dataset
+    order, each ending in its ``categories``.
 
     Subsets are defined by the presence of at least one lexicon token of
     each category; an example may fall in several subsets.  When the mode
     supports several inference rules the report also carries overall
-    accuracy/F1 under each of them for comparison.  ``report.records``
-    holds the per-example inference records, in dataset order, each
-    ending in its ``categories``.  A rule that is unknown or that the
-    mode lacks is rejected before anything is encoded.
+    accuracy/F1 under each of them for comparison.  A rule that is
+    unknown or that the mode lacks is rejected before anything is
+    encoded.
     """
     if inference not in INFERENCE_RULES:
         raise ValidationError(f"unknown inference rule {inference!r}; expected one of {INFERENCE_RULES}")
@@ -253,7 +254,6 @@ def evaluate(
     labels = [ex.label for ex in examples]
     predictions = [r[f"{inference}_label"] for r in records]
     report = build_report(predictions, labels, [r["categories"] for r in records], config.mode, inference)
-    report.records = records
     if len(spec.rules) > 1:
         for rule in spec.rules:
             conf = Confusion.from_pairs([r[f"{rule}_label"] for r in records], labels)
@@ -261,7 +261,7 @@ def evaluate(
                 "accuracy": accuracy(conf),
                 "f1_binary": f1_binary(conf),
             }
-    return report
+    return report, records
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +348,8 @@ def train(
             A.zero_grads(params.values())
             log = StepLog(step=step, losses={k: float(v.data) for k, v in terms.items()})
             if step % config.eval_every_steps == 0 or step == last_step:
-                log.val_f1 = f1 = evaluate(params, config, valid_set, lexicon, vocab, spec.selection_rule).f1_binary
+                report, _ = evaluate(params, config, valid_set, lexicon, vocab, spec.selection_rule)
+                log.val_f1 = f1 = report.f1_binary
                 if best is None or (f1 or 0.0) > (best_f1 or 0.0):
                     best = {name: v.data.copy() for name, v in params.items()}
                     best_f1, best_step = f1, step

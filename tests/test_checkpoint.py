@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -111,6 +112,19 @@ def test_truncated_checkpoint_is_parse_error(real_checkpoint, data):
     target.write_bytes(blob[:cut])
     with pytest.raises(ParseError):
         load_arrays(target)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_non_finite_value_is_parse_error_naming_the_parameter(real_checkpoint, data):
+    arrays = load_arrays(real_checkpoint)
+    name = data.draw(st.sampled_from(sorted(arrays)), label="name")
+    index = data.draw(st.integers(0, arrays[name].size - 1), label="index")
+    arrays[name].flat[index] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]), label="value")
+    target = real_checkpoint.with_name("non_finite.bin")
+    save_arrays(target, arrays)
+    with pytest.raises(ParseError, match=re.escape(f"parameter {name!r} holds")):
+        load_params(target)
 
 
 @settings(max_examples=50, deadline=None)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +12,12 @@ from hypothesis import strategies as st
 
 import cfdetox
 from cfdetox import training as T
+from cfdetox.checkpoint import load_arrays, save_arrays
 from cfdetox.cli import _load_checkpoint, _parse_config_file, main
 from cfdetox.data import Vocab, encode_batch, load_jsonl
 from cfdetox.errors import CfDetoxError
 from cfdetox.lexicon import load_lexicon, match_biased_tokens
+from cfdetox.metrics import Confusion
 
 
 @pytest.fixture(scope="module")
@@ -259,17 +262,26 @@ def test_eval_per_example_records(run_dir, corpus_dir, tmp_path):
     assert records_path.read_text(encoding="utf-8") == "".join(expected)
 
 
-def test_eval_records_need_ccdf_checkpoint(corpus_dir, tmp_path, capsys):
-    out = tmp_path / "vanilla"
-    assert main(["train", "--data", str(corpus_dir), "--out", str(out), "--mode", "vanilla",
+@pytest.mark.parametrize("mode", ["masking", "lmixin", "vanilla"])
+def test_baseline_checkpoint_scores_through_eval_records_and_infer(corpus_dir, tmp_path, capsys, mode):
+    out = tmp_path / mode
+    assert main(["train", "--data", str(corpus_dir), "--out", str(out), "--mode", mode,
                  "--epochs", "1", "--hidden", "8", "--embed-dim", "8", "--lx", "12"]) == 0
-    rc = main(["eval", "--checkpoint", str(out / "model.bin"),
-               "--data", str(corpus_dir / "test_iid.jsonl"),
-               "--lexicon", str(corpus_dir / "lexicon.csv"),
-               "--inference", "factual", "--records", str(tmp_path / "records.jsonl")])
-    assert rc == 1
-    assert "ccdf" in capsys.readouterr().err
-    assert not (tmp_path / "records.jsonl").exists()
+    flags = ["--checkpoint", str(out / "model.bin"), "--lexicon", str(corpus_dir / "lexicon.csv")]
+    data = ["--data", str(corpus_dir / "test_iid.jsonl")]
+    records_path, report_path = tmp_path / "records.jsonl", tmp_path / "report.json"
+    assert main(["eval", *flags, *data, "--inference", "factual",
+                 "--records", str(records_path), "--out", str(report_path)]) == 0
+    records = [json.loads(line) for line in records_path.read_text(encoding="utf-8").splitlines()]
+    assert [list(r) for r in records] == [["factual_label", "categories"]] * 40
+    labels = [ex.label for ex in load_jsonl(corpus_dir / "test_iid.jsonl")]
+    confusion = Confusion.from_pairs([r["factual_label"] for r in records], labels)
+    assert json.loads(report_path.read_text(encoding="utf-8"))["confusion"] == asdict(confusion)
+    capsys.readouterr()
+    assert main(["infer", *flags, "--text", "the zorp was dreadful today"]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == ["factual_label", "categories", "text", "biased_tokens"]
+    assert main(["eval", *flags, *data, "--inference", "tie"]) == 1
+    _assert_one_line_error(capsys, "requires a ccdf checkpoint")
 
 
 def test_eval_that_fails_writes_no_report(run_dir, corpus_dir, tmp_path, capsys):
@@ -281,6 +293,33 @@ def test_eval_that_fails_writes_no_report(run_dir, corpus_dir, tmp_path, capsys)
     assert rc == 2
     _assert_one_line_error(capsys, "No such file or directory")
     assert not report.exists()
+
+
+@pytest.mark.parametrize("records, report, message", [
+    pytest.param("records.jsonl", "missing/report.json", "No such file or directory: '{report}'",
+                 id="report-dir-missing"),
+    pytest.param("taken", "report.json", "Is a directory: '{records}'", id="records-path-is-a-directory"),
+])
+def test_eval_that_fails_writes_no_output(run_dir, corpus_dir, tmp_path, capsys, records, report, message):
+    (tmp_path / "taken").mkdir()
+    records, report = tmp_path / records, tmp_path / report
+    rc = main(["eval", "--checkpoint", str(run_dir / "model.bin"),
+               "--data", str(corpus_dir / "test_iid.jsonl"),
+               "--lexicon", str(corpus_dir / "lexicon.csv"),
+               "--records", str(records), "--out", str(report)])
+    assert rc == 2
+    _assert_one_line_error(capsys, message.format(records=records, report=report))
+    assert [p.name for p in tmp_path.rglob("*")] == ["taken"]
+
+
+def test_eval_rejects_records_at_the_report_path(run_dir, corpus_dir, tmp_path, capsys):
+    rc = main(["eval", "--checkpoint", str(run_dir / "model.bin"),
+               "--data", str(corpus_dir / "test_iid.jsonl"),
+               "--lexicon", str(corpus_dir / "lexicon.csv"),
+               "--records", str(tmp_path / "." / "out.json"), "--out", str(tmp_path / "out.json")])
+    assert rc == 1
+    _assert_one_line_error(capsys, "same file")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_eval_with_ood_column(run_dir, corpus_dir, capsys):
@@ -347,6 +386,21 @@ def test_eval_truncated_checkpoint_is_validation_error(run_dir, corpus_dir, tmp_
     err = capsys.readouterr().err
     assert "truncated" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["eval", "infer"])
+def test_non_finite_checkpoint_value_is_validation_error(run_dir, corpus_dir, tmp_path, capsys, command):
+    clone = _clone_run(run_dir, tmp_path / "clone")
+    arrays = load_arrays(clone / "model.bin")
+    arrays["branch.b.b2"][1] = np.nan
+    save_arrays(clone / "model.bin", arrays)
+    extra = ["--data", str(corpus_dir / "test_flipped.jsonl")] if command == "eval" else ["--text", "zorp"]
+    rc = main([command, "--checkpoint", str(clone / "model.bin"),
+               "--lexicon", str(corpus_dir / "lexicon.csv"), *extra])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {clone / 'model.bin'}:1: parameter 'branch.b.b2' holds nan at index (1,)\n"
 
 
 def test_infer_record(run_dir, corpus_dir, capsys):

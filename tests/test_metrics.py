@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -153,7 +154,7 @@ def test_render_table_round_trips_displayed_fields():
 
 def test_report_json_round_trip():
     report = build_report([1, 0], [1, 1], [["OI"], []], mode="vanilla", inference="factual")
-    payload = report.as_dict()
+    payload = asdict(report)
     assert payload["mode"] == "vanilla"
     assert payload["confusion"] == {"tp": 1, "fp": 0, "tn": 0, "fn": 1}
     assert payload["per_category"]["OI"]["size"] == 1

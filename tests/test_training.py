@@ -279,7 +279,7 @@ def test_evaluate_reports_requested_rule_and_all_rules():
     train_set, test_set, lexicon = small_corpus(n=64)
     cfg = small_config()
     res = train(cfg, train_set[:-8], train_set[-8:], lexicon)
-    report = evaluate(res.params, cfg, test_set, lexicon, res.vocab, "tie")
+    report, _ = evaluate(res.params, cfg, test_set, lexicon, res.vocab, "tie")
     assert report.inference == "tie"
     assert set(report.by_rule) == {"tie", "te", "factual"}
     assert report.dataset_size == len(test_set)
@@ -358,7 +358,7 @@ def test_evaluate_records_end_with_sorted_categories(tiny_params, tiny_lexicon):
     # matched lexicon categories as each record's last key
     examples = examples_from([("black hoe text", 1), ("plain words", 0)])
     config = small_config(embed_dim=5, hidden=7, lx=6, lb=4)
-    records = evaluate(tiny_params, config, examples, tiny_lexicon, Vocab.build(examples), "tie").records
+    _, records = evaluate(tiny_params, config, examples, tiny_lexicon, Vocab.build(examples), "tie")
     assert [list(r)[-1] for r in records] == ["categories", "categories"]
     assert records[0]["categories"] == ["OnI", "nOI"]
     assert records[1]["categories"] == []
