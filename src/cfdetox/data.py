@@ -22,6 +22,10 @@ PAD_ID, UNK_ID, SEP_ID, NOBIAS_ID = 0, 1, 2, 3
 
 
 def _strip_edge_punct(token: str) -> str:
+    # no alphanumeric code point is in a P* category, so a token with
+    # alphanumeric ends has nothing to strip
+    if token[0].isalnum() and token[-1].isalnum():
+        return token
     start, end = 0, len(token)
     while start < end and unicodedata.category(token[start]).startswith("P"):
         start += 1

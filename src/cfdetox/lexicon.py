@@ -8,6 +8,7 @@ matching would flag e.g. "class" for "ass".
 
 from __future__ import annotations
 
+import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -42,7 +43,9 @@ class Lexicon:
 def load_lexicon(path: str | Path) -> Lexicon:
     """Read a ``surface,category`` file; ``#`` lines are comments.
 
-    Surfaces are lowercased on load.  A surface listed twice with
+    Surfaces are lowercased on load.  One that starts or ends with
+    punctuation (a Unicode ``P*`` category) is an error: tokenization
+    strips it, so the surface could never match.  A surface listed twice with
     conflicting categories is an error; repeating the same pair is allowed.
     """
     path = Path(path)
@@ -57,6 +60,8 @@ def load_lexicon(path: str | Path) -> Lexicon:
         surface, category = parts[0].strip().lower(), parts[1].strip()
         if not surface or any(ch.isspace() for ch in surface):
             raise ParseError(path, line_no, f"bad surface {parts[0]!r}")
+        if any(unicodedata.category(ch).startswith("P") for ch in (surface[0], surface[-1])):
+            raise ValidationError(f"{path}:{line_no}: surface {surface!r} starts or ends with punctuation")
         if category not in CATEGORIES:
             raise ValidationError(
                 f"{path}:{line_no}: unknown category {category!r}, expected one of {CATEGORIES}"

@@ -33,6 +33,9 @@ INVARIANT_RESPONSE_INIT = 0.5
 
 N_CLASSES = 2
 
+# scoring-only entry of a parameter dict: never trained or saved
+ENCODED_ROWS = "encoder.rows"
+
 Scenario = Literal["factual", "counterfactual"]
 
 
@@ -136,10 +139,15 @@ def encode(
     """Embedding lookup + tanh mixing layer; pad positions zeroed.
 
     The same parameters serve the sentence and the bias-token paths.
+    Scoring parameters (see :func:`training.scoring_params`) carry the
+    encoder rows of their ids, which are gathered instead of recomputed.
     Returns [batch, L, d] (or [L, d] for unbatched ids).
     """
-    emb = A.embed(ids, params["encoder.embed"])
-    h = A.tanh(A.affine(emb, params["encoder.mix.w"], params["encoder.mix.b"]))
+    if ENCODED_ROWS in params:
+        h = A.const(params[ENCODED_ROWS].data[ids])
+    else:
+        emb = A.embed(ids, params["encoder.embed"])
+        h = A.tanh(A.affine(emb, params["encoder.mix.w"], params["encoder.mix.b"]))
     if drop is not None:
         h = A.dropout(h, drop.p, seed=drop.seed, step=drop.step, site=site)
     mask = np.asarray(mask, dtype=np.float64)

@@ -24,9 +24,9 @@ import numpy as np
 from cfdetox import autodiff as A
 from cfdetox import model as M
 from cfdetox.autodiff import Value
-from cfdetox.data import EncodedBatch, Example, Vocab, encode_batch, nobias_batch
+from cfdetox.data import NOBIAS_ID, EncodedBatch, Example, Vocab, encode_batch, nobias_batch
 from cfdetox.effects import argmax_label, inference_records
-from cfdetox.errors import ContractError, DomainError, NumericsError, ValidationError
+from cfdetox.errors import ContractError, DomainError, NumericsError, ValidationError, VocabularyError
 from cfdetox.lexicon import Lexicon, match_biased_tokens
 from cfdetox.metrics import Confusion, EvalReport, accuracy, build_report, f1_binary
 from cfdetox.model import DropoutCtx, ModelConfig, ScenarioLogits
@@ -195,6 +195,37 @@ def mode_forward(
 # prediction
 # ---------------------------------------------------------------------------
 
+def scoring_params(params: dict[str, Value], batches: Sequence[EncodedBatch]) -> dict[str, Value]:
+    """Constant parameters that score ``batches``, carrying the encoder
+    rows of every id in them plus NOBIAS_ID (the te reference): each
+    distinct id goes through :func:`model.encode` once, which then gathers
+    its rows.
+
+    Every row of a matrix product with at least two rows has the same bits
+    whatever the other rows are.  Sentence ids are never NOBIAS_ID, so with
+    any sentence to score the one encoder call has two rows or more and
+    the gathered rows are the per-slot encoder's.  A boolean marker over the vocabulary collects the
+    ids; ``np.unique`` would import ``numpy.ma`` into every ``infer``
+    process.  Rows of other ids are zero.  The caller's dict is left as it
+    is.
+    """
+    consts = {name: A.const(p.data, name) for name, p in params.items()}
+    table = consts["encoder.embed"].data
+    seen = np.zeros(len(table), dtype=bool)
+    seen[NOBIAS_ID] = True
+    for batch in batches:
+        for ids in (batch.x_ids, batch.b_ids):
+            if ids.size and (ids.min() < 0 or ids.max() >= len(seen)):
+                raise VocabularyError(f"token id out of range: ids span [{ids.min()}, {ids.max()}], "
+                                      f"table has {len(seen)} rows")
+            seen[ids] = True
+    ids = np.flatnonzero(seen)
+    rows = np.zeros_like(table)
+    rows[ids] = M.encode(ids, np.ones(len(ids)), consts).data
+    consts[M.ENCODED_ROWS] = A.const(rows, M.ENCODED_ROWS)
+    return consts
+
+
 def predict_batch(params: dict[str, Value], batch: EncodedBatch, spec: ModeSpec) -> list[dict]:
     """Inference records for one encoded batch (dropout off).
 
@@ -203,10 +234,12 @@ def predict_batch(params: dict[str, Value], batch: EncodedBatch, spec: ModeSpec)
     reference, the counterfactual built from the bias head's score of the
     NOBIAS input.  Other modes get ``{"factual_label"}`` read off the
     sentence head.  Records hold model output only; the caller adds
-    ``categories``.  The parameters are read as constant leaves, so no op
+    ``categories``.  Raw parameters become this batch's
+    :func:`scoring_params`; either way they are constant leaves, so no op
     records a backward closure.
     """
-    params = {name: A.const(p.data, name) for name, p in params.items()}
+    if M.ENCODED_ROWS not in params:
+        params = scoring_params(params, [batch])
     if spec.invariant_responses:
         factual = M.ccdf_forward(params, batch)
         counterfactual = M.counterfactual_logits(params, factual.y_b)
@@ -235,7 +268,8 @@ def evaluate(
     supports several inference rules the report also carries overall
     accuracy/F1 under each of them for comparison.  A rule that is
     unknown or that the mode lacks is rejected before anything is
-    encoded.
+    encoded.  Every batch is encoded first, so one set of
+    :func:`scoring_params` serves them all.
     """
     if inference not in INFERENCE_RULES:
         raise ValidationError(f"unknown inference rule {inference!r}; expected one of {INFERENCE_RULES}")
@@ -244,11 +278,12 @@ def evaluate(
         raise ValidationError(f"inference {inference!r} requires a ccdf checkpoint, not mode {config.mode!r}")
     if not examples:
         raise ValidationError("cannot evaluate an empty dataset")
+    chunks = [examples[start : start + EVAL_BATCH_SIZE] for start in range(0, len(examples), EVAL_BATCH_SIZE)]
+    batches = [encode_batch(chunk, lexicon, vocab, config.lx, config.lb) for chunk in chunks]
+    scoring = scoring_params(params, batches)
     records: list[dict] = []
-    for start in range(0, len(examples), EVAL_BATCH_SIZE):
-        chunk = examples[start : start + EVAL_BATCH_SIZE]
-        batch = encode_batch(chunk, lexicon, vocab, config.lx, config.lb)
-        for record, ex in zip(predict_batch(params, batch, spec), chunk):
+    for chunk, batch in zip(chunks, batches):
+        for record, ex in zip(predict_batch(scoring, batch, spec), chunk):
             record["categories"] = sorted(match_biased_tokens(ex.tokens, lexicon).categories)
             records.append(record)
     labels = [ex.label for ex in examples]

@@ -436,6 +436,22 @@ def test_infer_reserved_surface_reads_as_unknown_word(run_dir, corpus_dir, capsy
         assert record["te_label"] == record["tie_label"]
 
 
+def test_infer_leaves_numpy_ma_unimported(run_dir, corpus_dir, tmp_path):
+    # np.unique imports numpy.ma on first call, about 30 ms of an infer
+    # process; scoring collects its distinct ids without it
+    script = ("import sys; from cfdetox.cli import main; rc = main(sys.argv[1:]); "
+              "print('numpy.ma' in sys.modules, file=sys.stderr); sys.exit(rc)")
+    env = dict(os.environ, PYTHONPATH=str(Path(cfdetox.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, "infer",
+                           "--checkpoint", str(run_dir / "model.bin"),
+                           "--lexicon", str(corpus_dir / "lexicon.csv"),
+                           "--text", "the zorp was dreadful today"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["biased_tokens"] == [{"token": "zorp", "category": "nOI"}]
+    assert proc.stderr == "False\n"
+
+
 def test_infer_deterministic(run_dir, corpus_dir, capsys):
     args = ["infer", "--checkpoint", str(run_dir / "model.bin"),
             "--lexicon", str(corpus_dir / "lexicon.csv"),
@@ -515,6 +531,14 @@ def test_stats_non_utf8_lexicon_names_file_and_line(corpus_dir, tmp_path, capsys
     rc = main(["stats", "--data", str(corpus_dir / "train.jsonl"), "--lexicon", str(lexicon)])
     assert rc == 1
     _assert_one_line_error(capsys, f"{lexicon}:2:", "UTF-8")
+
+
+def test_stats_lexicon_surface_with_edge_punctuation_is_validation_error(corpus_dir, tmp_path, capsys):
+    lexicon = tmp_path / "lexicon.csv"
+    lexicon.write_text("grax,OI\nzorp!,nOI\n", encoding="utf-8")
+    rc = main(["stats", "--data", str(corpus_dir / "train.jsonl"), "--lexicon", str(lexicon)])
+    assert rc == 1
+    _assert_one_line_error(capsys, f"{lexicon}:2:", "'zorp!' starts or ends with punctuation")
 
 
 @pytest.mark.parametrize("name", ["vocab.txt", "config.txt"])

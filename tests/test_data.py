@@ -1,7 +1,11 @@
 import json
+import sys
+import unicodedata
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cfdetox import data as D
 from cfdetox.data import (
@@ -49,6 +53,30 @@ def test_tokenize_drops_pure_punctuation():
 
 def test_tokenize_lowercases():
     assert tokenize("Black BLACK") == ["black", "black"]
+
+
+def test_no_alphanumeric_code_point_is_punctuation():
+    # the premise of tokenize's fast path: a piece with alphanumeric ends
+    # has no edge punctuation to strip
+    for cp in range(sys.maxunicode + 1):
+        ch = chr(cp)
+        if ch.isalnum():
+            assert not unicodedata.category(ch).startswith("P"), hex(cp)
+
+
+def _strip_by_category(piece: str) -> str:
+    start, end = 0, len(piece)
+    while start < end and unicodedata.category(piece[start]).startswith("P"):
+        start += 1
+    while end > start and unicodedata.category(piece[end - 1]).startswith("P"):
+        end -= 1
+    return piece[start:end]
+
+
+@given(st.text(st.one_of(st.characters(), st.sampled_from("aZ09é٣'!.*\"«»¿_- ")), max_size=40))
+def test_tokenize_fast_path_agrees_with_category_scan(text):
+    slow = [t for t in map(_strip_by_category, text.lower().split()) if t]
+    assert tokenize(text) == slow
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cfdetox.data import tokenize
 from cfdetox.errors import ParseError, ValidationError
 from cfdetox.lexicon import (
     Lexicon,
@@ -32,6 +33,29 @@ def test_load_empty_file_is_valid(tmp_path):
 def test_load_masked_swear(tmp_path):
     lex = load_lexicon(write_lexicon(tmp_path, "f*ck,OnI\n"))
     assert lex.category("f*ck") == "OnI"
+
+
+@pytest.mark.parametrize("line", ["zorp!,nOI", '"grax",OI', "¿que,OnI", "«mot»,OI", "-x,OI", "ok.,OI"])
+def test_load_rejects_surface_with_edge_punctuation(tmp_path, line):
+    # tokenization strips edge punctuation, so such a surface never matches
+    with pytest.raises(ValidationError, match=r"lex\.csv:2: .*starts or ends with punctuation"):
+        load_lexicon(write_lexicon(tmp_path, f"gay,nOI\n{line}\n"))
+
+
+@given(surface=st.text(st.characters(exclude_categories=("Cc", "Cs", "Zs", "Zl", "Zp"), exclude_characters=",#"),
+                       min_size=1, max_size=6))
+def test_load_accepts_exactly_the_surfaces_tokenization_keeps(tmp_path_factory, surface):
+    # lexicon cannot import data, so its edge rule is checked against
+    # tokenize here: a surface loads iff it tokenizes to itself
+    assume(not any(ch.isspace() for ch in surface) and not surface.startswith("\ufeff"))
+    path = tmp_path_factory.mktemp("lex") / "lex.csv"
+    path.write_text(f"{surface},OI\n", encoding="utf-8")
+    try:
+        loaded = set(load_lexicon(path).entries)
+    except ValidationError:
+        loaded = set()
+    keeps = tokenize(surface) == [surface.lower()]
+    assert loaded == ({surface.lower()} if keeps else set())
 
 
 def test_load_comments_and_blank_lines(tmp_path):

@@ -9,7 +9,7 @@ from cfdetox import model as M
 from cfdetox.checkpoint import save_params
 from cfdetox.data import Vocab, encode_batch, generate_synthetic_corpus, synthetic_lexicon
 from cfdetox.effects import inference_records
-from cfdetox.errors import ContractError, NumericsError, ValidationError
+from cfdetox.errors import ContractError, NumericsError, ValidationError, VocabularyError
 from cfdetox.model import ScenarioLogits, ccdf_forward
 from cfdetox.training import (
     MODE_SPECS,
@@ -362,3 +362,68 @@ def test_evaluate_records_end_with_sorted_categories(tiny_params, tiny_lexicon):
     assert [list(r)[-1] for r in records] == ["categories", "categories"]
     assert records[0]["categories"] == ["OnI", "nOI"]
     assert records[1]["categories"] == []
+
+
+@pytest.mark.parametrize("n, length, embed_dim", [(1, 2, 5), (3, 7, 5), (64, 20, 128), (2, 115, 128)])
+def test_encode_through_scoring_rows_is_the_per_slot_encoder_bit_for_bit(n, length, embed_dim):
+    # scoring gathers each id's row from one encoder call over the distinct
+    # ids; on multi-row batches that must be the per-slot encoder's bits,
+    # pad slots (signed zeros included) too
+    rng = np.random.default_rng(n * length)
+    params = M.init_params(M.ModelConfig(vocab_size=300, embed_dim=embed_dim, hidden=4), rng)
+    batch = make_batch(rng, n=n, vocab_size=300, lx=length, lb=4)
+    scoring = T.scoring_params(params, [batch])
+    for ids, mask in ((batch.x_ids, batch.x_mask), (batch.b_ids, batch.b_mask)):
+        gathered = M.encode(ids, mask, scoring).data
+        assert gathered.tobytes() == M.encode(ids, mask, params).data.tobytes()
+
+
+def test_evaluate_runs_the_mixing_layer_once_per_call(monkeypatch):
+    # every distinct id goes through the encoder's affine once, whatever
+    # the number of batches; the heads' affines are the rest
+    train_set, test_set, lexicon = small_corpus(n=48)
+    test_set = test_set * 12
+    assert len(test_set) > 2 * T.EVAL_BATCH_SIZE
+    cfg = small_config()
+    vocab = Vocab.build(train_set)
+    params = M.init_params(cfg.model_config(len(vocab)), np.random.default_rng(3))
+    mixing = []
+    affine = A.affine
+
+    def counting_affine(x, w, b):
+        if w.op == "encoder.mix.w":
+            mixing.append(x.data.shape)
+        return affine(x, w, b)
+
+    monkeypatch.setattr(A, "affine", counting_affine)
+    _, records = evaluate(params, cfg, test_set, lexicon, vocab, "tie")
+    assert len(records) == len(test_set)
+    assert len(mixing) == 1
+
+
+@pytest.mark.parametrize("mode", ["ccdf", "vanilla"])
+def test_evaluate_leaves_the_caller_params_unchanged(mode):
+    # scoring rows live in evaluate's own dict, so nothing new can reach
+    # save_params or adamw_step
+    train_set, test_set, lexicon = small_corpus()
+    cfg = small_config(mode=mode)
+    res = train(cfg, train_set[:16], train_set[-8:], lexicon)
+    values = dict(res.params)
+    arrays = {name: v.data for name, v in res.params.items()}
+    copies = {name: a.copy() for name, a in arrays.items()}
+    evaluate(res.params, cfg, test_set, lexicon, res.vocab, cfg.spec.selection_rule)
+    assert M.ENCODED_ROWS not in res.params
+    assert res.params == values
+    for name, v in res.params.items():
+        assert v.data is arrays[name]
+        assert np.array_equal(v.data, copies[name])
+
+
+@pytest.mark.parametrize("bad_id", [-1, 11])
+def test_predict_batch_rejects_out_of_range_ids(bad_id):
+    cfg = M.ModelConfig(vocab_size=11, embed_dim=5, hidden=6)
+    params = M.init_params(cfg, np.random.default_rng(12))
+    batch = make_batch(np.random.default_rng(13), n=3, vocab_size=11)
+    batch.x_ids[1, 0] = bad_id
+    with pytest.raises(VocabularyError, match="token id out of range"):
+        predict_batch(params, batch, MODE_SPECS["ccdf"])
