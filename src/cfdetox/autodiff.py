@@ -225,15 +225,16 @@ def mean_pool(x: Value, mask: np.ndarray, axis: int) -> Value:
     """Mean of ``x`` over ``axis`` restricted to positions with mask 1.
 
     ``mask`` must match ``x``'s shape up to trailing feature axes and have
-    at least one active position per pooled slice.
+    at least one active position per pooled slice.  The sum skips masked
+    positions instead of multiplying them by zero, so no copy of ``x`` is
+    made.
     """
     mask = np.asarray(mask, dtype=np.float64)
     m = mask.reshape(mask.shape + (1,) * (x.data.ndim - mask.ndim))
-    m = np.broadcast_to(m, x.data.shape)
     counts = m.sum(axis=axis)
     if (counts == 0).any():
         raise ContractError("mean_pool: a pooled slice is fully masked")
-    out_data = (x.data * m).sum(axis=axis) / counts
+    out_data = np.add.reduce(x.data, axis=axis, where=m != 0) / counts
 
     def backward_fn(g: np.ndarray) -> None:
         ge = np.expand_dims(g / counts, axis)

@@ -46,7 +46,9 @@ def save_arrays(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_arrays(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a checkpoint; any truncation or trailing bytes is a ParseError."""
+    """Read a checkpoint; any truncation, trailing bytes, or record name
+    not strictly after the one before (as :func:`save_arrays` writes
+    them) is a ParseError."""
     path = Path(path)
     blob = memoryview(path.read_bytes())
     offset = 0
@@ -66,12 +68,16 @@ def load_arrays(path: str | Path) -> dict[str, np.ndarray]:
     if version != VERSION:
         raise ParseError(path, 1, f"unsupported checkpoint version {version}")
     arrays: dict[str, np.ndarray] = {}
+    previous: str | None = None
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4, "record header"))
         try:
             name = str(take(name_len, "record name"), "utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(path, 1, f"record name at offset {offset - name_len} is not utf-8") from exc
+        if previous is not None and name <= previous:
+            raise ParseError(path, 1, f"record {name!r} follows {previous!r}: names must be unique and sorted")
+        previous = name
         (rank,) = struct.unpack("<I", take(4, "record header"))
         dims = struct.unpack(f"<{rank}Q", take(8 * rank, "record dims"))
         data = take(8 * math.prod(dims), "record data")

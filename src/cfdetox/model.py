@@ -140,14 +140,15 @@ def encode(
 
     The same parameters serve the sentence and the bias-token paths.
     Scoring parameters (see :func:`training.scoring_params`) carry the
-    encoder rows of their ids, which are gathered instead of recomputed.
+    encoder rows of their ids, the pad row already masked, and those rows
+    are gathered as they are, so there ``mask`` must be ``ids != PAD_ID``
+    as :func:`data.encode_batch` makes it.
     Returns [batch, L, d] (or [L, d] for unbatched ids).
     """
     if ENCODED_ROWS in params:
-        h = A.const(params[ENCODED_ROWS].data[ids])
-    else:
-        emb = A.embed(ids, params["encoder.embed"])
-        h = A.tanh(A.affine(emb, params["encoder.mix.w"], params["encoder.mix.b"]))
+        return A.const(params[ENCODED_ROWS].data[ids])
+    emb = A.embed(ids, params["encoder.embed"])
+    h = A.tanh(A.affine(emb, params["encoder.mix.w"], params["encoder.mix.b"]))
     if drop is not None:
         h = A.dropout(h, drop.p, seed=drop.seed, step=drop.step, site=site)
     mask = np.asarray(mask, dtype=np.float64)

@@ -24,7 +24,7 @@ import numpy as np
 from cfdetox import autodiff as A
 from cfdetox import model as M
 from cfdetox.autodiff import Value
-from cfdetox.data import NOBIAS_ID, EncodedBatch, Example, Vocab, encode_batch, nobias_batch
+from cfdetox.data import NOBIAS_ID, PAD_ID, EncodedBatch, Example, Vocab, encode_batch, nobias_batch
 from cfdetox.effects import argmax_label, inference_records
 from cfdetox.errors import ContractError, DomainError, NumericsError, ValidationError, VocabularyError
 from cfdetox.lexicon import Lexicon, match_biased_tokens
@@ -204,10 +204,11 @@ def scoring_params(params: dict[str, Value], batches: Sequence[EncodedBatch]) ->
     Every row of a matrix product with at least two rows has the same bits
     whatever the other rows are.  Sentence ids are never NOBIAS_ID, so with
     any sentence to score the one encoder call has two rows or more and
-    the gathered rows are the per-slot encoder's.  A boolean marker over the vocabulary collects the
-    ids; ``np.unique`` would import ``numpy.ma`` into every ``infer``
-    process.  Rows of other ids are zero.  The caller's dict is left as it
-    is.
+    the gathered rows are the per-slot encoder's.  The PAD row is stored
+    times 0.0, so a gather is already the masked encoder output.  A
+    boolean marker over the vocabulary collects the ids; ``np.unique``
+    would import ``numpy.ma`` into every ``infer`` process.  Rows of
+    other ids are zero.  The caller's dict is left as it is.
     """
     consts = {name: A.const(p.data, name) for name, p in params.items()}
     table = consts["encoder.embed"].data
@@ -222,6 +223,7 @@ def scoring_params(params: dict[str, Value], batches: Sequence[EncodedBatch]) ->
     ids = np.flatnonzero(seen)
     rows = np.zeros_like(table)
     rows[ids] = M.encode(ids, np.ones(len(ids)), consts).data
+    rows[PAD_ID] *= 0.0  # the signed zeros the per-slot encoder writes at pad slots
     consts[M.ENCODED_ROWS] = A.const(rows, M.ENCODED_ROWS)
     return consts
 

@@ -1,5 +1,6 @@
 """Shared test helpers (fixtures live in conftest.py)."""
 
+import struct
 from typing import Callable, Sequence
 
 import numpy as np
@@ -10,6 +11,18 @@ from cfdetox.data import EncodedBatch, Example, nobias_batch
 from cfdetox.effects import EffectBundle, effects
 from cfdetox.model import FUSION_GUARD_EPS, ScenarioLogits, ccdf_forward, counterfactual_logits
 from cfdetox.training import _sum_terms, loss_terms
+
+
+def checkpoint_bytes(records: Sequence[tuple[str, np.ndarray]]) -> bytes:
+    """A checkpoint holding ``records`` in the order given, laid out as
+    ``save_arrays`` lays out its sorted records."""
+    blob = b"CFDX" + struct.pack("<II", 1, len(records))
+    for name, arr in records:
+        arr = np.asarray(arr, dtype="<f8")
+        encoded = name.encode("utf-8")
+        blob += struct.pack("<I", len(encoded)) + encoded + struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape)
+        blob += arr.tobytes()
+    return blob
 
 
 def make_batch(rng: np.random.Generator, n: int = 2, vocab_size: int = 12,

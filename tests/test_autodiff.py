@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as npst
 
 from cfdetox import autodiff as A
 from cfdetox.errors import ContractError, DomainError, ShapeError, VocabularyError
@@ -61,6 +64,45 @@ def test_mean_pool_full_mask():
 def test_mean_pool_partial_mask():
     out = A.mean_pool(A.const([[2.0, 4.0], [6.0, 8.0]]), np.array([1.0, 0.0]), axis=0)
     assert out.data.tolist() == [2.0, 4.0]
+
+
+def _old_mean_pool(x, mask, axis, g):
+    # the formula mean_pool replaced: multiply by the mask broadcast to x
+    m = np.broadcast_to(mask.reshape(mask.shape + (1,)), x.shape)
+    counts = m.sum(axis=axis)
+    grad = np.expand_dims(g / counts, axis) * m + 0.0  # + 0.0 as Value.accumulate does
+    return (x * m).sum(axis=axis) / counts, grad
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mean_pool_is_the_masked_product_formula(data):
+    # the model pools [B, L, d] over axis 1 and [L, d] over axis 0, d its
+    # embedding width; masked slots hold anything finite, signed zeros too
+    # (at d = 1 numpy sums the old product pairwise, so last bits may differ)
+    batched = data.draw(st.booleans(), label="batched")
+    shape = ((data.draw(st.integers(1, 4), label="B"),) if batched else ()) + (
+        data.draw(st.integers(1, 40), label="L"), data.draw(st.sampled_from([2, 3, 5, 8, 17, 128]), label="d"))
+    axis = len(shape) - 2
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32), label="seed"))
+
+    def draw_floats(shape, label):
+        # normal draws make every sum round; drawn kinds 0 and 1 put +0.0 and -0.0
+        kind = data.draw(npst.arrays(np.int8, shape, elements=st.integers(0, 5)), label=label)
+        values = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, shape)
+        return np.where(kind == 0, 0.0, np.where(kind == 1, -0.0, values))
+
+    x = draw_floats(shape, "x")
+    mask = data.draw(npst.arrays(bool, shape[:-1]), label="mask")
+    mask[..., data.draw(st.integers(0, shape[-2] - 1), label="active")] = True
+    mask = mask.astype(np.float64)
+    g = draw_floats(shape[:axis] + shape[axis + 1:], "g")
+    want, want_grad = _old_mean_pool(x, mask, axis, g)
+    xv = A.param(x)
+    out = A.mean_pool(xv, mask, axis=axis)
+    assert out.data.tobytes() == want.tobytes()
+    out._backward_fn(g)
+    assert xv.grad.tobytes() == want_grad.tobytes()
 
 
 def test_mean_pool_all_masked_is_contract_error():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cfdetox.checkpoint import load_arrays, load_params, save_arrays, save_params
 from cfdetox.errors import ParseError, ShapeError
 from cfdetox.model import ModelConfig, init_params, param_shapes
+from helpers import checkpoint_bytes
 
 
 def test_round_trip(tmp_path):
@@ -146,3 +147,17 @@ def test_every_truncation_of_a_small_checkpoint_is_parse_error(tmp_path):
         path.write_bytes(blob[:cut])
         with pytest.raises(ParseError):
             load_arrays(path)
+
+
+@pytest.mark.parametrize("names, message", [
+    (("a", "b.w", "b.w"), "record 'b.w' follows 'b.w'"),
+    (("b", "a"), "record 'a' follows 'b'"),
+])
+def test_record_names_out_of_order_are_parse_error(tmp_path, names, message):
+    # a repeated record would otherwise silently replace the first one
+    path = tmp_path / "ck.bin"
+    path.write_bytes(checkpoint_bytes([(name, [float(i)]) for i, name in enumerate(names)]))
+    with pytest.raises(ParseError, match=re.escape(message)):
+        load_arrays(path)
+    path.write_bytes(checkpoint_bytes([(name, [float(i)]) for i, name in enumerate(sorted(set(names)))]))
+    assert list(load_arrays(path)) == sorted(set(names))

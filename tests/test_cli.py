@@ -18,6 +18,7 @@ from cfdetox.data import Vocab, encode_batch, load_jsonl
 from cfdetox.errors import CfDetoxError
 from cfdetox.lexicon import load_lexicon, match_biased_tokens
 from cfdetox.metrics import Confusion
+from helpers import checkpoint_bytes
 
 
 @pytest.fixture(scope="module")
@@ -401,6 +402,21 @@ def test_non_finite_checkpoint_value_is_validation_error(run_dir, corpus_dir, tm
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {clone / 'model.bin'}:1: parameter 'branch.b.b2' holds nan at index (1,)\n"
+
+
+def test_infer_checkpoint_with_a_repeated_record_is_validation_error(run_dir, corpus_dir, tmp_path, capsys):
+    # the later copy of the record used to replace the first without a word
+    clone = _clone_run(run_dir, tmp_path / "clone")
+    arrays = load_arrays(clone / "model.bin")
+    records = sorted([*arrays.items(), ("branch.b.b2", arrays["branch.b.b2"] + 1.0)], key=lambda r: r[0])
+    (clone / "model.bin").write_bytes(checkpoint_bytes(records))
+    rc = main(["infer", "--checkpoint", str(clone / "model.bin"),
+               "--lexicon", str(corpus_dir / "lexicon.csv"), "--text", "zorp"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {clone / 'model.bin'}:1: record 'branch.b.b2' follows 'branch.b.b2': "
+                   "names must be unique and sorted\n")
 
 
 def test_infer_record(run_dir, corpus_dir, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import cfdetox.training as T
 from cfdetox import autodiff as A
 from cfdetox import model as M
 from cfdetox.checkpoint import save_params
-from cfdetox.data import Vocab, encode_batch, generate_synthetic_corpus, synthetic_lexicon
+from cfdetox.data import EncodedBatch, Vocab, encode_batch, generate_synthetic_corpus, synthetic_lexicon
 from cfdetox.effects import inference_records
 from cfdetox.errors import ContractError, NumericsError, ValidationError, VocabularyError
 from cfdetox.model import ScenarioLogits, ccdf_forward
@@ -427,3 +428,25 @@ def test_predict_batch_rejects_out_of_range_ids(bad_id):
     batch.x_ids[1, 0] = bad_id
     with pytest.raises(VocabularyError, match="token id out of range"):
         predict_batch(params, batch, MODE_SPECS["ccdf"])
+
+
+def test_predict_batch_makes_no_copy_of_the_sentence_tensor():
+    # scoring a 64-row batch of train-long-sized sentences (100-125 real
+    # tokens, lb 4) holds the gathered [B, Lx, d] tensor once: masking and
+    # pooling must read it in place, not build float64 copies of it
+    rng = np.random.default_rng(14)
+    n, lx, lb, cfg = 64, 125, 4, M.ModelConfig(vocab_size=3023, embed_dim=128, hidden=256)
+    x_ids, b_ids = rng.integers(4, cfg.vocab_size, (n, lx)), rng.integers(4, cfg.vocab_size, (n, lb))
+    x_mask = (np.arange(lx) < rng.integers(100, lx + 1, (n, 1))).astype(np.float64)
+    b_mask = (np.arange(lb) < rng.integers(1, lb + 1, (n, 1))).astype(np.float64)
+    x_ids[x_mask == 0] = 0
+    b_ids[b_mask == 0] = 0
+    batch = EncodedBatch(x_ids=x_ids, b_ids=b_ids, x_mask=x_mask, b_mask=b_mask, labels=rng.integers(0, 2, n))
+    scoring = T.scoring_params(M.init_params(cfg, rng), [batch])
+    tracemalloc.start()
+    try:
+        predict_batch(scoring, batch, MODE_SPECS["ccdf"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * lx * cfg.embed_dim * 8
