@@ -290,7 +290,13 @@ def _write_all(outputs: dict[Path, str]) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    out = Path(args.out) if args.out else Path(args.checkpoint).parent / f"report-{args.inference}.json"
+    checkpoint = Path(args.checkpoint)
+    out = Path(args.out) if args.out else checkpoint.parent / f"report-{args.inference}.json"
+    inputs = {Path(p).resolve() for p in (checkpoint, checkpoint.parent / VOCAB_FILE, checkpoint.parent / CONFIG_FILE,
+                                           args.data, args.ood_data, args.lexicon) if p}
+    for name, target in (("the report", out), ("--records", args.records)):
+        if target and Path(target).resolve() in inputs:
+            raise ValidationError(f"{name} {target} is an input of this eval and would be overwritten")
     if args.records and Path(args.records).resolve() == out.resolve():
         raise ValidationError(f"--records and the report are the same file: {out}")
     params, config, vocab = _load_checkpoint(args.checkpoint)

@@ -101,7 +101,7 @@ class Vocab:
     tokens: list[str] = field(default_factory=lambda: list(RESERVED))
 
     def __post_init__(self) -> None:
-        self._ids = {t: i for i, t in enumerate(self.tokens)}
+        self._ids = {t: i for i, t in enumerate(self.tokens) if i >= len(RESERVED)}
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -109,8 +109,7 @@ class Vocab:
     def id(self, token: str) -> int:
         """Id of a text token; unknown words and the reserved surfaces
         (``<pad>``, ``<sep>``, ...) written in text read as UNK."""
-        idx = self._ids.get(token, UNK_ID)
-        return UNK_ID if idx < len(RESERVED) else idx
+        return self._ids.get(token, UNK_ID)
 
     @classmethod
     def build(cls, examples: Iterable[Example]) -> "Vocab":
@@ -143,24 +142,30 @@ class Vocab:
 
 @dataclass
 class EncodedBatch:
-    """Padded id matrices plus aligned masks; mask is 1 exactly off-pad.
+    """Padded id matrices and labels; the masks are read off the ids, 1 exactly off-pad.
 
     ``encode_batch`` makes each matrix as wide as its longest row.
     """
 
     x_ids: np.ndarray  # int64 [batch, Lx]
     b_ids: np.ndarray  # int64 [batch, Lb]
-    x_mask: np.ndarray  # float64 [batch, Lx]
-    b_mask: np.ndarray  # float64 [batch, Lb]
     labels: np.ndarray  # int64 [batch]
 
+    @property
+    def x_mask(self) -> np.ndarray:  # float64 [batch, Lx]
+        return (self.x_ids != PAD_ID).astype(np.float64)
 
-def _pad_rows(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Right-pad id rows with PAD to the longest one; returns (ids, mask)."""
+    @property
+    def b_mask(self) -> np.ndarray:  # float64 [batch, Lb]
+        return (self.b_ids != PAD_ID).astype(np.float64)
+
+
+def _pad_rows(rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """Right-pad id rows with PAD to the longest one."""
     ids = np.full((len(rows), max(map(len, rows), default=1)), PAD_ID, dtype=np.int64)
     for i, row in enumerate(rows):
         ids[i, : len(row)] = row
-    return ids, (ids != PAD_ID).astype(np.float64)
+    return ids
 
 
 def encode_batch(
@@ -171,7 +176,7 @@ def encode_batch(
     max_bias_len: int,
     mask_bias: bool = False,
 ) -> EncodedBatch:
-    """Build (x_ids, b_ids, masks, labels) for a list of examples.
+    """Build (x_ids, b_ids, labels) for a list of examples.
 
     Sentences are truncated to ``max_sentence_len`` ids and bias sequences
     to ``max_bias_len``; each matrix is then padded to its longest row.
@@ -186,20 +191,19 @@ def encode_batch(
     x_rows: list[list[int]] = []
     b_rows: list[list[int]] = []
     for ex in examples:
+        matched = match_biased_tokens(ex.tokens, lexicon).tokens
         tokens = ex.tokens[:max_sentence_len]
         if mask_bias:
-            tokens = tuple(UNK if t.lower() in lexicon.entries else t for t in tokens)
+            tokens = tuple(UNK if t.lower() in matched else t for t in tokens)
         x_rows.append([vocab.id(t) for t in tokens] or [UNK_ID])
         interleaved: list[int] = []
-        for tok in match_biased_tokens(ex.tokens, lexicon).tokens:
+        for tok in matched:
             if interleaved:
                 interleaved.append(SEP_ID)
             interleaved.append(vocab.id(tok))
         b_rows.append(interleaved[:max_bias_len] or [NOBIAS_ID])
-    x_ids, x_mask = _pad_rows(x_rows)
-    b_ids, b_mask = _pad_rows(b_rows)
     labels = np.array([ex.label for ex in examples], dtype=np.int64)
-    return EncodedBatch(x_ids=x_ids, b_ids=b_ids, x_mask=x_mask, b_mask=b_mask, labels=labels)
+    return EncodedBatch(x_ids=_pad_rows(x_rows), b_ids=_pad_rows(b_rows), labels=labels)
 
 
 def nobias_batch(batch: EncodedBatch) -> EncodedBatch:
@@ -207,14 +211,7 @@ def nobias_batch(batch: EncodedBatch) -> EncodedBatch:
 
     This is the no-treatment input used as the reference evaluation.
     """
-    b_ids, b_mask = _pad_rows([[NOBIAS_ID]] * len(batch.labels))
-    return EncodedBatch(
-        x_ids=batch.x_ids,
-        b_ids=b_ids,
-        x_mask=batch.x_mask,
-        b_mask=b_mask,
-        labels=batch.labels,
-    )
+    return EncodedBatch(x_ids=batch.x_ids, b_ids=_pad_rows([[NOBIAS_ID]] * len(batch.labels)), labels=batch.labels)
 
 
 def lexicon_label_stats(examples: Sequence[Example], lexicon: Lexicon) -> list[tuple[str, int, int, float]]:

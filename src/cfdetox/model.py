@@ -18,7 +18,7 @@ import numpy as np
 
 from cfdetox import autodiff as A
 from cfdetox.autodiff import Value
-from cfdetox.data import EncodedBatch
+from cfdetox.data import PAD_ID, EncodedBatch
 from cfdetox.errors import ContractError
 
 # floor for the fused product: ln(Z/(1+Z)) is undefined for Z <= 0 (tanh of
@@ -131,18 +131,16 @@ def init_params(
 
 def encode(
     ids: np.ndarray,
-    mask: np.ndarray,
     params: dict[str, Value],
     drop: DropoutCtx | None = None,
     site: str = "enc_x",
 ) -> Value:
-    """Embedding lookup + tanh mixing layer; pad positions zeroed.
+    """Embedding lookup + tanh mixing layer; PAD_ID slots zeroed.
 
     The same parameters serve the sentence and the bias-token paths.
     Scoring parameters (see :func:`training.scoring_params`) carry the
-    encoder rows of their ids, the pad row already masked, and those rows
-    are gathered as they are, so there ``mask`` must be ``ids != PAD_ID``
-    as :func:`data.encode_batch` makes it.
+    encoder rows of their ids, the PAD row among them, and those rows are
+    gathered as they are.
     Returns [batch, L, d] (or [L, d] for unbatched ids).
     """
     if ENCODED_ROWS in params:
@@ -151,8 +149,7 @@ def encode(
     h = A.tanh(A.affine(emb, params["encoder.mix.w"], params["encoder.mix.b"]))
     if drop is not None:
         h = A.dropout(h, drop.p, seed=drop.seed, step=drop.step, site=site)
-    mask = np.asarray(mask, dtype=np.float64)
-    return A.mul(h, mask[..., None])
+    return A.mul(h, (ids != PAD_ID).astype(np.float64)[..., None])
 
 
 def cross_attention_ensemble(
@@ -168,7 +165,6 @@ def cross_attention_ensemble(
     [*, n, d] and [*, m, d] give a [*, d] feature.
     """
     scores = A.matmul(bh, xh, transpose_b=True)
-    x_mask = np.asarray(x_mask, dtype=np.float64)
     attn = A.softmax(scores, axis=-1, mask=np.expand_dims(x_mask, -2))
     attended = A.matmul(attn, xh)
     return A.mean_pool(attended, b_mask, axis=attended.data.ndim - 2)
@@ -244,8 +240,9 @@ def ccdf_forward(
     """The factual pass of the full model over one encoded batch: every
     head live.  Build its counterfactual from its ``y_b`` with
     :func:`counterfactual_logits`."""
-    bh = encode(batch.b_ids, batch.b_mask, params, drop, site="enc_b")
-    y_b = bias_head(bh, batch.b_mask, params, drop)
-    xh = encode(batch.x_ids, batch.x_mask, params, drop, site="enc_x")
-    e = cross_attention_ensemble(xh, bh, batch.x_mask, batch.b_mask)
-    return branch_forward(e, A.mean_pool(xh, batch.x_mask, axis=1), y_b, params, drop)
+    x_mask, b_mask = batch.x_mask, batch.b_mask
+    bh = encode(batch.b_ids, params, drop, site="enc_b")
+    y_b = bias_head(bh, b_mask, params, drop)
+    xh = encode(batch.x_ids, params, drop, site="enc_x")
+    e = cross_attention_ensemble(xh, bh, x_mask, b_mask)
+    return branch_forward(e, A.mean_pool(xh, x_mask, axis=1), y_b, params, drop)

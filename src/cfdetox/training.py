@@ -24,7 +24,7 @@ import numpy as np
 from cfdetox import autodiff as A
 from cfdetox import model as M
 from cfdetox.autodiff import Value
-from cfdetox.data import NOBIAS_ID, PAD_ID, EncodedBatch, Example, Vocab, encode_batch, nobias_batch
+from cfdetox.data import NOBIAS_ID, EncodedBatch, Example, Vocab, encode_batch, nobias_batch
 from cfdetox.effects import argmax_label, inference_records
 from cfdetox.errors import ContractError, DomainError, NumericsError, ValidationError, VocabularyError
 from cfdetox.lexicon import Lexicon, match_biased_tokens
@@ -163,7 +163,7 @@ def sentence_branch_forward(
     params: dict[str, Value], batch: EncodedBatch, drop: DropoutCtx | None = None
 ) -> Value:
     """Sentence-only score (vanilla and masking modes)."""
-    xh = M.encode(batch.x_ids, batch.x_mask, params, drop, site="enc_x")
+    xh = M.encode(batch.x_ids, params, drop, site="enc_x")
     return M.mlp(A.mean_pool(xh, batch.x_mask, axis=1), "x", params, drop)
 
 
@@ -173,7 +173,7 @@ def lmixin_forward(
     """Two-branch forward: (y_x, y_b, fused2); the full model's bias head,
     detached from the encoder."""
     y_x = sentence_branch_forward(params, batch, drop)
-    bh = M.encode(batch.b_ids, batch.b_mask, params, drop, site="enc_b")
+    bh = M.encode(batch.b_ids, params, drop, site="enc_b")
     y_b = M.bias_head(bh, batch.b_mask, params, drop)
     return y_x, y_b, M.fuse(y_x, y_b)
 
@@ -204,11 +204,10 @@ def scoring_params(params: dict[str, Value], batches: Sequence[EncodedBatch]) ->
     Every row of a matrix product with at least two rows has the same bits
     whatever the other rows are.  Sentence ids are never NOBIAS_ID, so with
     any sentence to score the one encoder call has two rows or more and
-    the gathered rows are the per-slot encoder's.  The PAD row is stored
-    times 0.0, so a gather is already the masked encoder output.  A
-    boolean marker over the vocabulary collects the ids; ``np.unique``
-    would import ``numpy.ma`` into every ``infer`` process.  Rows of
-    other ids are zero.  The caller's dict is left as it is.
+    the gathered rows are the per-slot encoder's, signed zeros at PAD
+    included.  A boolean marker over the vocabulary collects the ids;
+    ``np.unique`` would import ``numpy.ma`` into every ``infer`` process.
+    Rows of other ids are zero.  The caller's dict is left as it is.
     """
     consts = {name: A.const(p.data, name) for name, p in params.items()}
     table = consts["encoder.embed"].data
@@ -222,8 +221,7 @@ def scoring_params(params: dict[str, Value], batches: Sequence[EncodedBatch]) ->
             seen[ids] = True
     ids = np.flatnonzero(seen)
     rows = np.zeros_like(table)
-    rows[ids] = M.encode(ids, np.ones(len(ids)), consts).data
-    rows[PAD_ID] *= 0.0  # the signed zeros the per-slot encoder writes at pad slots
+    rows[ids] = M.encode(ids, consts).data
     consts[M.ENCODED_ROWS] = A.const(rows, M.ENCODED_ROWS)
     return consts
 
@@ -246,7 +244,7 @@ def predict_batch(params: dict[str, Value], batch: EncodedBatch, spec: ModeSpec)
         factual = M.ccdf_forward(params, batch)
         counterfactual = M.counterfactual_logits(params, factual.y_b)
         nobias = nobias_batch(batch)
-        bh = M.encode(nobias.b_ids, nobias.b_mask, params, site="enc_b")
+        bh = M.encode(nobias.b_ids, params, site="enc_b")
         reference = M.counterfactual_logits(params, M.bias_head(bh, nobias.b_mask, params))
         return inference_records(factual, counterfactual, reference)
     scores = sentence_branch_forward(params, batch).data

@@ -157,8 +157,7 @@ def test_counterfactual_x_invariance():
     for _ in range(100):
         a = make_batch(rng, n=1, vocab_size=14, lx=7, lb=4)
         b = make_batch(rng, n=1, vocab_size=14, lx=7, lb=4)
-        b = type(b)(x_ids=b.x_ids, b_ids=a.b_ids, x_mask=b.x_mask, b_mask=a.b_mask,
-                    labels=b.labels)
+        b = type(b)(x_ids=b.x_ids, b_ids=a.b_ids, labels=b.labels)
         fa, fb = (M.counterfactual_logits(params, M.ccdf_forward(params, batch).y_b).fused.data
                   for batch in (a, b))
         exact += int((fa == fb).all())

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import asdict
@@ -321,6 +322,25 @@ def test_eval_rejects_records_at_the_report_path(run_dir, corpus_dir, tmp_path, 
     assert rc == 1
     _assert_one_line_error(capsys, "same file")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--out", "--records"])
+@pytest.mark.parametrize("target", ["model.bin", "vocab.txt", "config.txt",
+                                    "test_iid.jsonl", "test_flipped.jsonl", "lexicon.csv"])
+def test_eval_rejects_an_output_at_an_input_path(run_dir, corpus_dir, tmp_path, capsys, flag, target):
+    for name in ("model.bin", "vocab.txt", "config.txt"):
+        shutil.copy(run_dir / name, tmp_path)
+    for name in ("test_iid.jsonl", "test_flipped.jsonl", "lexicon.csv"):
+        shutil.copy(corpus_dir / name, tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    rc = main(["eval", "--checkpoint", str(tmp_path / "model.bin"),
+               "--data", str(tmp_path / "test_iid.jsonl"),
+               "--ood-data", str(tmp_path / "test_flipped.jsonl"),
+               "--lexicon", str(tmp_path / "lexicon.csv"),
+               flag, str(tmp_path / "." / target)])
+    assert rc == 1
+    _assert_one_line_error(capsys, "is an input of this eval")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_eval_with_ood_column(run_dir, corpus_dir, capsys):

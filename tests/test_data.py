@@ -255,11 +255,13 @@ def test_encode_empty_sentence_becomes_unk(tiny_lexicon):
 
 
 def test_encode_mask_bias_replaces_lexicon_tokens_with_unk(tiny_lexicon):
-    examples = examples_from([("beat that hoe ass", 1)])
+    # a hand-built example keeps its case; lexicon matching lowercases
+    examples = examples_from([("beat that hoe ass", 1)]) + [Example(text="Hoe that", tokens=("Hoe", "that"), label=1)]
     vocab = Vocab.build(examples)
     plain = encode_batch(examples, tiny_lexicon, vocab, 6, 6)
     masked = encode_batch(examples, tiny_lexicon, vocab, 6, 6, mask_bias=True)
     assert masked.x_ids[0].tolist() == [vocab.id("beat"), vocab.id("that"), D.UNK_ID, D.UNK_ID]
+    assert masked.x_ids[1].tolist() == [D.UNK_ID, vocab.id("that"), D.PAD_ID, D.PAD_ID]
     # the bias sequence itself is untouched
     assert (masked.b_ids == plain.b_ids).all()
 

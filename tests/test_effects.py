@@ -69,7 +69,7 @@ def test_nde_depends_only_on_bias_tokens(tiny_params):
     for _ in range(100):
         a = make_batch(rng, n=1)
         b = make_batch(rng, n=1)
-        b = type(b)(x_ids=b.x_ids, b_ids=a.b_ids, x_mask=b.x_mask, b_mask=a.b_mask, labels=b.labels)
+        b = type(b)(x_ids=b.x_ids, b_ids=a.b_ids, labels=b.labels)
         nde = []
         for batch in (a, b):
             f, cf, ref = ccdf_scenarios(tiny_params, batch)

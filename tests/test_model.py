@@ -26,20 +26,19 @@ from helpers import gradcheck, make_batch, total_loss
 
 def test_encode_all_pad_gives_zero_matrix(tiny_params):
     ids = np.zeros((1, 4), dtype=np.int64)
-    out = encode(ids, np.zeros((1, 4)), tiny_params)
+    out = encode(ids, tiny_params)
     assert (out.data == 0).all()
 
 
 def test_encoder_is_shared_between_paths(tiny_params):
     ids = np.array([[3, 5, 1]])
-    mask = np.ones((1, 3))
-    x_path = encode(ids, mask, tiny_params, site="enc_x")
-    b_path = encode(ids, mask, tiny_params, site="enc_b")
+    x_path = encode(ids, tiny_params, site="enc_x")
+    b_path = encode(ids, tiny_params, site="enc_b")
     assert (x_path.data == b_path.data).all()
     # perturbing the shared parameters moves both representations
     tiny_params["encoder.mix.w"].data += 0.25
-    assert not (encode(ids, mask, tiny_params, site="enc_x").data == x_path.data).all()
-    assert not (encode(ids, mask, tiny_params, site="enc_b").data == b_path.data).all()
+    assert not (encode(ids, tiny_params, site="enc_x").data == x_path.data).all()
+    assert not (encode(ids, tiny_params, site="enc_b").data == b_path.data).all()
 
 
 def test_encode_single_token_identity_mixing():
@@ -47,16 +46,15 @@ def test_encode_single_token_identity_mixing():
     params = init_params(cfg, np.random.default_rng(0))
     params["encoder.mix.w"].data = np.eye(3)
     params["encoder.mix.b"].data = np.zeros(3)
-    out = encode(np.array([[2]]), np.ones((1, 1)), params)
+    out = encode(np.array([[2]]), params)
     expected = np.tanh(params["encoder.embed"].data[2])
     assert out.data[0, 0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_encode_dropout_only_when_ctx_given(tiny_params):
     ids = np.array([[3, 5, 1]])
-    mask = np.ones((1, 3))
-    plain = encode(ids, mask, tiny_params)
-    dropped = encode(ids, mask, tiny_params, drop=DropoutCtx(0.5, seed=0, step=1))
+    plain = encode(ids, tiny_params)
+    dropped = encode(ids, tiny_params, drop=DropoutCtx(0.5, seed=0, step=1))
     assert not (plain.data == dropped.data).all()
 
 
@@ -170,10 +168,7 @@ def test_counterfactual_scores_are_invariant_responses(tiny_params):
 def test_counterfactual_ignores_the_sentence(tiny_params):
     rng = np.random.default_rng(9)
     a = make_batch(rng, n=2)
-    b = EncodedBatch(
-        x_ids=np.roll(a.x_ids, 1, axis=1), b_ids=a.b_ids,
-        x_mask=np.roll(a.x_mask, 1, axis=1), b_mask=a.b_mask, labels=a.labels,
-    )
+    b = EncodedBatch(x_ids=np.roll(a.x_ids, 1, axis=1), b_ids=a.b_ids, labels=a.labels)
     la, lb = (counterfactual_logits(tiny_params, ccdf_forward(tiny_params, batch).y_b) for batch in (a, b))
     assert (la.fused.data == lb.fused.data).all()
     assert (la.y_b.data == lb.y_b.data).all()

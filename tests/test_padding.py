@@ -24,9 +24,7 @@ def _pad_to(batch: EncodedBatch, lx: int, lb: int) -> EncodedBatch:
         out[:, : a.shape[1]] = a
         return out
 
-    return EncodedBatch(x_ids=pad(batch.x_ids, lx), b_ids=pad(batch.b_ids, lb),
-                        x_mask=pad(batch.x_mask, lx), b_mask=pad(batch.b_mask, lb),
-                        labels=batch.labels)
+    return EncodedBatch(x_ids=pad(batch.x_ids, lx), b_ids=pad(batch.b_ids, lb), labels=batch.labels)
 
 
 def _batches():

@@ -168,8 +168,7 @@ def test_lmixin_bias_path_detached_from_encoder(tiny_params):
 def test_sentence_branch_ignores_bias_input(tiny_params):
     rng = np.random.default_rng(6)
     batch = make_batch(rng, n=2)
-    other = type(batch)(x_ids=batch.x_ids, b_ids=np.roll(batch.b_ids, 1, axis=1),
-                        x_mask=batch.x_mask, b_mask=batch.b_mask, labels=batch.labels)
+    other = type(batch)(x_ids=batch.x_ids, b_ids=np.roll(batch.b_ids, 1, axis=1), labels=batch.labels)
     a = sentence_branch_forward(tiny_params, batch)
     b = sentence_branch_forward(tiny_params, other)
     assert (a.data == b.data).all()
@@ -374,9 +373,9 @@ def test_encode_through_scoring_rows_is_the_per_slot_encoder_bit_for_bit(n, leng
     params = M.init_params(M.ModelConfig(vocab_size=300, embed_dim=embed_dim, hidden=4), rng)
     batch = make_batch(rng, n=n, vocab_size=300, lx=length, lb=4)
     scoring = T.scoring_params(params, [batch])
-    for ids, mask in ((batch.x_ids, batch.x_mask), (batch.b_ids, batch.b_mask)):
-        gathered = M.encode(ids, mask, scoring).data
-        assert gathered.tobytes() == M.encode(ids, mask, params).data.tobytes()
+    for ids in (batch.x_ids, batch.b_ids):
+        gathered = M.encode(ids, scoring).data
+        assert gathered.tobytes() == M.encode(ids, params).data.tobytes()
 
 
 def test_evaluate_runs_the_mixing_layer_once_per_call(monkeypatch):
@@ -437,11 +436,9 @@ def test_predict_batch_makes_no_copy_of_the_sentence_tensor():
     rng = np.random.default_rng(14)
     n, lx, lb, cfg = 64, 125, 4, M.ModelConfig(vocab_size=3023, embed_dim=128, hidden=256)
     x_ids, b_ids = rng.integers(4, cfg.vocab_size, (n, lx)), rng.integers(4, cfg.vocab_size, (n, lb))
-    x_mask = (np.arange(lx) < rng.integers(100, lx + 1, (n, 1))).astype(np.float64)
-    b_mask = (np.arange(lb) < rng.integers(1, lb + 1, (n, 1))).astype(np.float64)
-    x_ids[x_mask == 0] = 0
-    b_ids[b_mask == 0] = 0
-    batch = EncodedBatch(x_ids=x_ids, b_ids=b_ids, x_mask=x_mask, b_mask=b_mask, labels=rng.integers(0, 2, n))
+    x_ids[np.arange(lx) >= rng.integers(100, lx + 1, (n, 1))] = 0
+    b_ids[np.arange(lb) >= rng.integers(1, lb + 1, (n, 1))] = 0
+    batch = EncodedBatch(x_ids=x_ids, b_ids=b_ids, labels=rng.integers(0, 2, n))
     scoring = T.scoring_params(M.init_params(cfg, rng), [batch])
     tracemalloc.start()
     try:
