@@ -403,9 +403,9 @@ def backward(loss: Value) -> None:
         if node._backward_fn is None or node.grad is None:
             continue
         node._backward_fn(node.grad)
-    # intermediate grads are not part of the contract; free them
-    for node in order:
-        if node is not loss and node._parents:
+        # every consumer has run, so an intermediate grad is complete and
+        # not part of the contract; free it now
+        if node is not loss:
             node.grad = None
 
 

@@ -5,6 +5,7 @@ correlation for desk-scale experiments."""
 from __future__ import annotations
 
 import json
+import sys
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
@@ -38,14 +39,13 @@ def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace, strip edge punctuation, drop empties.
 
     Punctuation inside a token survives, so "f*ck" and "don't" stay intact;
-    only leading/trailing punctuation is removed.
+    only leading/trailing punctuation is removed.  Tokens are interned, so
+    a corpus holds one string per distinct token.
     """
-    out = []
-    for piece in text.lower().split():
-        stripped = _strip_edge_punct(piece)
-        if stripped:
-            out.append(stripped)
-    return out
+    pieces = text.lower().split()
+    if not "".join(pieces).isalnum():  # all-alphanumeric pieces have no edge to strip
+        pieces = [s for s in map(_strip_edge_punct, pieces) if s]
+    return list(map(sys.intern, pieces))
 
 
 @dataclass(frozen=True)

@@ -89,8 +89,8 @@ def match_biased_tokens(tokens: Sequence[str], lexicon: Lexicon) -> BiasedTokenS
     Returns matched surfaces (not the original spellings) in sentence
     order, duplicates preserved.  An empty result is valid.
     """
-    matched = [t.lower() for t in tokens if t.lower() in lexicon.entries]
+    matched = tuple(filter(lexicon.entries.__contains__, map(str.lower, tokens)))
     return BiasedTokenSet(
-        tokens=tuple(matched),
+        tokens=matched,
         categories=frozenset(lexicon.entries[t] for t in matched),
     )

@@ -319,6 +319,29 @@ class TrainResult:
     best_val_f1: float | None
 
 
+def _train_step(
+    config: TrainConfig, params: dict[str, Value], opt: AdamWState, batch: EncodedBatch, step: int
+) -> dict[str, float]:
+    """One optimizer step on ``batch``; returns its loss terms.  The step's
+    graph dies with this frame, so no two steps' graphs are held at once."""
+    spec = config.spec
+    drop = DropoutCtx(config.dropout, config.seed, step) if config.dropout > 0 else None
+    try:
+        logits = mode_forward(spec, params, batch, drop)
+        terms = loss_terms(logits, batch.labels)
+        loss = _sum_terms(terms)
+        if spec.invariant_responses:
+            loss = A.add(loss, invariant_response_loss(logits, params, batch.labels))
+    except DomainError as exc:
+        raise NumericsError(f"non-finite values in the forward pass at step {step}: {exc}") from exc
+    if not np.isfinite(loss.data):
+        raise NumericsError(f"non-finite loss at step {step}")
+    A.backward(loss)
+    adamw_step(params, opt)
+    A.zero_grads(params.values())
+    return {k: float(v.data) for k, v in terms.items()}
+
+
 def train(
     config: TrainConfig,
     train_set: Sequence[Example],
@@ -367,21 +390,7 @@ def train(
             step += 1
             chunk = [train_set[i] for i in order[start : start + config.batch_size]]
             batch = encode_batch(chunk, lexicon, vocab, config.lx, config.lb, mask_bias=spec.mask_bias)
-            drop = DropoutCtx(config.dropout, config.seed, step) if config.dropout > 0 else None
-            try:
-                logits = mode_forward(spec, params, batch, drop)
-                terms = loss_terms(logits, batch.labels)
-                loss = _sum_terms(terms)
-                if spec.invariant_responses:
-                    loss = A.add(loss, invariant_response_loss(logits, params, batch.labels))
-            except DomainError as exc:
-                raise NumericsError(f"non-finite values in the forward pass at step {step}: {exc}") from exc
-            if not np.isfinite(loss.data):
-                raise NumericsError(f"non-finite loss at step {step}")
-            A.backward(loss)
-            adamw_step(params, opt)
-            A.zero_grads(params.values())
-            log = StepLog(step=step, losses={k: float(v.data) for k, v in terms.items()})
+            log = StepLog(step=step, losses=_train_step(config, params, opt, batch, step))
             if step % config.eval_every_steps == 0 or step == last_step:
                 report, _ = evaluate(params, config, valid_set, lexicon, vocab, spec.selection_rule)
                 log.val_f1 = f1 = report.f1_binary

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,6 +216,28 @@ def test_shared_node_gradients_accumulate():
     A.backward(A.mul(t, t))
     expected = 2 * math.tanh(0.7) * (1 - math.tanh(0.7) ** 2)
     assert float(w.grad) == pytest.approx(expected, rel=1e-12)
+
+
+def test_backward_frees_each_intermediate_gradient_once_it_has_run():
+    # a 20-op elementwise chain holds 20 intermediate grads if none is
+    # freed before the walk ends; freed as it goes, a few are live at once
+    rng = np.random.default_rng(5)
+    shape = (256, 128)
+    x = A.param(rng.normal(size=shape))
+    scale = rng.uniform(0.5, 1.5, size=shape)
+    ops = (A.tanh, lambda v: A.mul(v, scale), lambda v: A.add(v, scale), lambda v: A.sub(v, scale))
+    h = x
+    for i in range(20):
+        h = ops[i % 4](h)
+    loss = A.cross_entropy(h, rng.integers(0, shape[1], shape[0]))
+    tracemalloc.start()
+    try:
+        A.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.grad is not None and loss.grad is not None
+    assert peak < 4 * x.data.nbytes
 
 
 def test_log_softmax_gradient_matches_finite_differences():

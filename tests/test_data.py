@@ -4,7 +4,7 @@ import unicodedata
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cfdetox import data as D
@@ -73,10 +73,27 @@ def _strip_by_category(piece: str) -> str:
     return piece[start:end]
 
 
-@given(st.text(st.one_of(st.characters(), st.sampled_from("aZ09é٣'!.*\"«»¿_- ")), max_size=40))
+_PUNCT = st.characters(categories=["Pc", "Pd", "Ps", "Pe", "Pi", "Pf", "Po"])
+# every separator str.split() knows, not only the Zs category
+_SPACE = st.one_of(st.characters(categories=["Zs", "Zl", "Zp"]), st.sampled_from("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85"))
+_PIECE = st.builds("".join, st.lists(st.one_of(
+    st.text(_PUNCT, max_size=3),  # edge or whole-piece punctuation
+    st.text(st.characters(exclude_categories=["Z", "Cc"]), max_size=4),  # any text, inner punctuation too
+), max_size=4))
+
+
+@given(st.one_of(
+    st.text(st.one_of(st.characters(), st.sampled_from("aZ09é٣'!.*\"«»¿_- ")), max_size=40),
+    st.builds("".join, st.lists(st.one_of(_PIECE, st.text(_SPACE, min_size=1, max_size=3)), max_size=12)),
+))
+@example("")
+@example(" \t\n ")
+@example("\u3000\u2028\x85\x1c")
+@example("... !? «»")
 def test_tokenize_fast_path_agrees_with_category_scan(text):
-    slow = [t for t in map(_strip_by_category, text.lower().split()) if t]
-    assert tokenize(text) == slow
+    tokens = tokenize(text)
+    assert tokens == [t for t in map(_strip_by_category, text.lower().split()) if t]
+    assert all(t is sys.intern(t) for t in tokens)  # one string per distinct token
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +105,18 @@ def test_load_jsonl_minimal(tmp_path):
     path.write_text('{"text": "hi", "label": 0}\n', encoding="utf-8")
     examples = load_jsonl(path)
     assert examples == [Example(text="hi", tokens=("hi",), label=0)]
+
+
+def test_load_jsonl_holds_one_string_per_distinct_token(tmp_path):
+    path = tmp_path / "d.jsonl"
+    rows = [{"text": "The hoe, the HOE!", "label": 1}, {"text": "\"hoe\" and the zorp", "label": 0},
+            {"text": "zorp... the ZORP zorp", "label": 1}]
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+    first: dict[str, str] = {}
+    for ex in load_jsonl(path):
+        for token in ex.tokens:
+            assert first.setdefault(token, token) is token
+    assert sorted(first) == ["and", "hoe", "the", "zorp"]
 
 
 def test_load_jsonl_preserves_order(tmp_path):

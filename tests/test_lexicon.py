@@ -135,7 +135,7 @@ def _brute_force(tokens, lexicon):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    tokens=st.lists(st.text(alphabet="abczorp*", min_size=1, max_size=6), max_size=12),
+    tokens=st.lists(st.text(alphabet="abczorpBZOR*", min_size=1, max_size=6), max_size=12),
     surfaces=st.sets(st.text(alphabet="abczorp*", min_size=1, max_size=4), max_size=5),
 )
 def test_match_agrees_with_brute_force(tokens, surfaces):

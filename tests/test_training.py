@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -224,6 +225,23 @@ def test_train_selects_first_best_validated_step(monkeypatch, eval_every_steps, 
     scores = [log.val_f1 or 0.0 for log in validated]
     first_best = validated[scores.index(max(scores))]
     assert (res.best_step, res.best_val_f1) == (first_best.step, first_best.val_f1)
+
+
+def test_train_releases_each_step_graph_before_the_next_forward(monkeypatch):
+    train_set, _, lexicon = small_corpus()
+    fused, alive_at_forward = [], []
+    original = T.mode_forward
+
+    def recording(*args, **kwargs):
+        alive_at_forward.append(any(ref() is not None for ref in fused))
+        logits = original(*args, **kwargs)
+        fused.append(weakref.ref(logits.fused.data))  # Value has no weakref slot; its array dies with it
+        return logits
+
+    monkeypatch.setattr(T, "mode_forward", recording)
+    res = train(small_config(), train_set[:-8], train_set[-8:], lexicon)
+    assert len(fused) == len(res.history) > 1
+    assert not any(alive_at_forward)
 
 
 def test_train_aborts_on_non_finite_loss(monkeypatch):
