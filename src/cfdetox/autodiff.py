@@ -4,8 +4,8 @@ A forward pass records a DAG of :class:`Value` nodes; :func:`backward`
 walks it once in reverse topological order and accumulates gradients into
 every reachable parameter.  The op set is exactly what the classifier
 needs: embedding lookup, affine maps, (batched) matmul, masked softmax,
-tanh, log, masked mean-pooling, elementwise arithmetic, dropout,
-softmax cross-entropy, and a gradient stop.
+tanh, log, masked mean-pooling, elementwise arithmetic, dropout, the
+encoder's mixing layer, softmax cross-entropy, and a gradient stop.
 
 Everything is 64-bit; the models are tiny, so precision is cheaper than
 debugging.
@@ -85,7 +85,7 @@ def _as_value(x) -> Value:
 
 def _node(data, parents, op, backward_fn) -> Value:
     requires = any(p.requires_grad for p in parents)
-    return Value(data, parents=parents, op=op,
+    return Value(data, parents=parents if requires else (), op=op,
                  requires_grad=requires,
                  backward_fn=backward_fn if requires else None)
 
@@ -127,6 +127,17 @@ def embed(ids: np.ndarray, table: Value) -> Value:
     return _node(out_data, (table,), "embed", backward_fn)
 
 
+def _affine_backward(x: Value, x2: np.ndarray, w: Value, b: Value, g: np.ndarray) -> None:
+    """Accumulate the gradients of ``x2 @ w + b``, ``x2`` the rows of ``x``."""
+    g2 = g.reshape(-1, w.data.shape[1])
+    if x.requires_grad:
+        x.accumulate((g2 @ w.data.T).reshape(x.data.shape))
+    if w.requires_grad:
+        w.accumulate(x2.T @ g2)
+    if b.requires_grad:
+        b.accumulate(g2.sum(axis=0))
+
+
 def affine(x: Value, w: Value, b: Value) -> Value:
     """x [..., d_in] @ w [d_in, d_out] + b [d_out]."""
     d_in = x.data.shape[-1]
@@ -139,13 +150,7 @@ def affine(x: Value, w: Value, b: Value) -> Value:
     out_data = (x2 @ w.data + b.data).reshape(*lead, w.data.shape[1])
 
     def backward_fn(g: np.ndarray) -> None:
-        g2 = g.reshape(-1, w.data.shape[1])
-        if x.requires_grad:
-            x.accumulate((g2 @ w.data.T).reshape(x.data.shape))
-        if w.requires_grad:
-            w.accumulate(x2.T @ g2)
-        if b.requires_grad:
-            b.accumulate(g2.sum(axis=0))
+        _affine_backward(x, x2, w, b, g)
 
     return _node(out_data, (x, w, b), "affine", backward_fn)
 
@@ -317,28 +322,54 @@ DROPOUT_SITES = {
 }
 
 
-def dropout(x: Value, p: float, seed: int = 0, step: int = 0, site: str = "enc_x") -> Value:
-    """Inverted dropout with a counter-based mask.
-
-    The mask stream is a Philox generator keyed by (seed, step, site), so a
-    given (seed, step, site) always yields the same mask regardless of
-    execution history.  Identity when ``p`` == 0; inference passes no
-    dropout context to the model, so it never reaches this op.
-    """
+def _keep_pattern(shape: tuple[int, ...], p: float, seed: int, step: int, site: str) -> np.ndarray | bool:
+    """Inverted dropout's boolean keep pattern at rate ``p`` (True when 0), from a
+    Philox stream keyed by (seed, step, site), so a key always gives the same pattern."""
     if not 0.0 <= p < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {p}")
     if p == 0.0:
-        return x
+        return True
     key = (int(seed) << 64) | (int(step) << 8) | DROPOUT_SITES[site]
-    rng = np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=key)).random(shape) >= p
+
+
+def dropout(x: Value, p: float, seed: int = 0, step: int = 0, site: str = "enc_x") -> Value:
+    """Inverted dropout with a counter-based mask (see :func:`_keep_pattern`); identity
+    when ``p`` == 0.  Inference passes no dropout context, so it never reaches this op."""
+    keep = _keep_pattern(x.data.shape, p, seed, step, site)
+    if keep is True:
+        return x
     # keep is 0 or 1, so x * (keep * scale) has the bits of (x * keep) * scale
-    keep_scaled = (rng.random(x.data.shape) >= p) * (1.0 / (1.0 - p))
+    keep_scaled = keep * (1.0 / (1.0 - p))
     out_data = x.data * keep_scaled
 
     def backward_fn(g: np.ndarray) -> None:
         x.accumulate(g * keep_scaled)
 
     return _node(out_data, (x,), "dropout", backward_fn)
+
+
+def mix(x: Value, w: Value, b: Value, mask: np.ndarray, p: float = 0.0, seed: int = 0, step: int = 0,
+        site: str = "enc_x") -> Value:
+    """The encoder's mixing layer ``mul(dropout(tanh(affine(x, w, b)), p, seed, step, site), mask)`` as
+    one node, same bits both ways, that keeps only the tanh output and a boolean keep pattern for backward."""
+    x2 = x.data.reshape(-1, x.data.shape[-1])
+    t = x2 @ w.data + b.data
+    t = np.tanh(t, out=t).reshape(*x.data.shape[:-1], w.data.shape[1])
+    keep, scale = _keep_pattern(t.shape, p, seed, step, site), 1.0 / (1.0 - p)
+    out_data = t * keep  # times keep, then scale: the bits of dropout's t * (keep * scale)
+    out_data *= scale
+    out_data *= mask
+
+    def backward_fn(g: np.ndarray) -> None:
+        # the chain's products in order, on this node's own grad (its inner nodes' +0.0 only made -0.0 +0.0)
+        g *= mask
+        g *= keep
+        g *= scale
+        g *= 1.0 - t * t
+        _affine_backward(x, x2, w, b, g)
+
+    return _node(out_data, (x, w, b), "mix", backward_fn)
 
 
 def cross_entropy(logits: Value, labels: np.ndarray) -> Value:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cfdetox.autodiff import Value, param
+from cfdetox.autodiff import Value
 from cfdetox.errors import ParseError, ShapeError
 
 MAGIC = b"CFDX"
@@ -46,47 +46,48 @@ def save_arrays(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_arrays(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a checkpoint; any truncation, trailing bytes, or record name
-    not strictly after the one before (as :func:`save_arrays` writes
-    them) is a ParseError."""
+    """Read a checkpoint, each record's data straight into its own array;
+    any truncation, trailing bytes, or record name not strictly after the
+    one before (as :func:`save_arrays` writes them) is a ParseError."""
     path = Path(path)
-    blob = memoryview(path.read_bytes())
-    offset = 0
+    with open(path, "rb") as fh:
+        size = path.stat().st_size
+        offset = 4  # past the magic, checked first
 
-    def take(size: int, what: str) -> memoryview:
-        nonlocal offset
-        if size > len(blob) - offset:
-            raise ParseError(path, 1, f"truncated checkpoint: {what} needs {size} bytes at offset "
-                                      f"{offset}, file has {len(blob)}")
-        offset += size
-        return blob[offset - size : offset]
+        def take(n: int, what: str) -> int:
+            nonlocal offset
+            if n > size - offset:
+                raise ParseError(path, 1, f"truncated checkpoint: {what} needs {n} bytes at offset "
+                                          f"{offset}, file has {size}")
+            offset += n
+            return n
 
-    if blob[:4] != MAGIC:
-        raise ParseError(path, 1, "not a checkpoint file (bad magic)")
-    take(4, "magic")
-    version, count = struct.unpack("<II", take(8, "header"))
-    if version != VERSION:
-        raise ParseError(path, 1, f"unsupported checkpoint version {version}")
-    arrays: dict[str, np.ndarray] = {}
-    previous: str | None = None
-    for _ in range(count):
-        (name_len,) = struct.unpack("<I", take(4, "record header"))
-        try:
-            name = str(take(name_len, "record name"), "utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(path, 1, f"record name at offset {offset - name_len} is not utf-8") from exc
-        if previous is not None and name <= previous:
-            raise ParseError(path, 1, f"record {name!r} follows {previous!r}: names must be unique and sorted")
-        previous = name
-        (rank,) = struct.unpack("<I", take(4, "record header"))
-        dims = struct.unpack(f"<{rank}Q", take(8 * rank, "record dims"))
-        data = take(8 * math.prod(dims), "record data")
-        try:
-            arrays[name] = np.frombuffer(data, dtype="<f8").reshape(dims).astype(np.float64)
-        except (ValueError, OverflowError) as exc:
-            raise ParseError(path, 1, f"bad shape {dims} for {name!r}: {exc}") from exc
-    if offset != len(blob):
-        raise ParseError(path, 1, f"{len(blob) - offset} trailing bytes after {count} records")
+        if fh.read(4) != MAGIC:
+            raise ParseError(path, 1, "not a checkpoint file (bad magic)")
+        version, count = struct.unpack("<II", fh.read(take(8, "header")))
+        if version != VERSION:
+            raise ParseError(path, 1, f"unsupported checkpoint version {version}")
+        arrays: dict[str, np.ndarray] = {}
+        previous: str | None = None
+        for _ in range(count):
+            (name_len,) = struct.unpack("<I", fh.read(take(4, "record header")))
+            try:
+                name = str(fh.read(take(name_len, "record name")), "utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(path, 1, f"record name at offset {offset - name_len} is not utf-8") from exc
+            if previous is not None and name <= previous:
+                raise ParseError(path, 1, f"record {name!r} follows {previous!r}: names must be unique and sorted")
+            previous = name
+            (rank,) = struct.unpack("<I", fh.read(take(4, "record header")))
+            dims = struct.unpack(f"<{rank}Q", fh.read(take(8 * rank, "record dims")))
+            n = math.prod(dims)
+            take(8 * n, "record data")  # before allocating what the dims claim
+            try:
+                arrays[name] = np.fromfile(fh, dtype="<f8", count=n).reshape(dims)
+            except (ValueError, OverflowError) as exc:
+                raise ParseError(path, 1, f"bad shape {dims} for {name!r}: {exc}") from exc
+    if offset != size:
+        raise ParseError(path, 1, f"{size - offset} trailing bytes after {count} records")
     return arrays
 
 
@@ -95,7 +96,7 @@ def save_params(path: str | Path, params: dict[str, Value]) -> None:
 
 
 def load_params(path: str | Path, expect_shapes: dict[str, tuple[int, ...]] | None = None) -> dict[str, Value]:
-    """Load a checkpoint into fresh trainable Values.
+    """Load a checkpoint into trainable Values wrapping the arrays read.
 
     A non-finite value raises ParseError naming the first parameter, in
     file order, that holds one.  When ``expect_shapes`` is given (e.g.
@@ -119,4 +120,4 @@ def load_params(path: str | Path, expect_shapes: dict[str, tuple[int, ...]] | No
         extra = sorted(set(arrays) - set(expect_shapes))
         if extra:
             raise ShapeError(f"checkpoint has unexpected parameters: {extra}")
-    return {name: param(arr, op=name) for name, arr in arrays.items()}
+    return {name: Value(arr, op=name, requires_grad=True) for name, arr in arrays.items()}

@@ -33,8 +33,9 @@ INVARIANT_RESPONSE_INIT = 0.5
 
 N_CLASSES = 2
 
-# scoring-only entry of a parameter dict: never trained or saved
+# scoring-only entries, never trained or saved: encoder rows of the ids scoring needs, and each id's row number
 ENCODED_ROWS = "encoder.rows"
+ENCODED_INDEX = "encoder.row_index"
 
 Scenario = Literal["factual", "counterfactual"]
 
@@ -144,12 +145,12 @@ def encode(
     Returns [batch, L, d] (or [L, d] for unbatched ids).
     """
     if ENCODED_ROWS in params:
-        return A.const(params[ENCODED_ROWS].data[ids])
+        rows = params[ENCODED_INDEX].data[ids].astype(np.intp)
+        return A.const(params[ENCODED_ROWS].data[rows])
     emb = A.embed(ids, params["encoder.embed"])
-    h = A.tanh(A.affine(emb, params["encoder.mix.w"], params["encoder.mix.b"]))
-    if drop is not None:
-        h = A.dropout(h, drop.p, seed=drop.seed, step=drop.step, site=site)
-    return A.mul(h, (ids != PAD_ID).astype(np.float64)[..., None])
+    mask = (ids != PAD_ID).astype(np.float64)[..., None]
+    p, seed, step = (drop.p, drop.seed, drop.step) if drop is not None else (0.0, 0, 0)
+    return A.mix(emb, params["encoder.mix.w"], params["encoder.mix.b"], mask, p, seed=seed, step=step, site=site)
 
 
 def cross_attention_ensemble(

@@ -61,6 +61,13 @@ MODE_SPECS: dict[str, ModeSpec] = {
 MODES = tuple(MODE_SPECS)
 
 EVAL_BATCH_SIZE = 64
+# scoring's model passes take 16-row blocks at the batch's width (the width
+# enters softmax sums); OpenBLAS rounds a product's tail rows unlike rows in
+# its 4-row panels, so blocks start at multiples of 4 and hold 4 rows or more
+SCORING_BLOCK = 16
+# ids per encoder call filling the scoring rows, bounding its temporaries;
+# never 1, as a 1-row product rounds unlike the same row among others
+SCORING_CHUNK = 256
 
 
 @dataclass
@@ -195,19 +202,22 @@ def mode_forward(
 # prediction
 # ---------------------------------------------------------------------------
 
-def scoring_params(params: dict[str, Value], batches: Sequence[EncodedBatch]) -> dict[str, Value]:
-    """Constant parameters that score ``batches``, carrying the encoder
-    rows of every id in them plus NOBIAS_ID (the te reference): each
-    distinct id goes through :func:`model.encode` once, which then gathers
-    its rows.
+def _spans(n: int, size: int, min_last: int) -> list[tuple[int, int]]:
+    """[start, stop) spans of ``size`` over ``range(n)``; a remainder under ``min_last`` joins the one before."""
+    starts = list(range(0, max(n - min_last + 1, 1), size))
+    return list(zip(starts, starts[1:] + [n]))
 
-    Every row of a matrix product with at least two rows has the same bits
-    whatever the other rows are.  Sentence ids are never NOBIAS_ID, so with
-    any sentence to score the one encoder call has two rows or more and
-    the gathered rows are the per-slot encoder's, signed zeros at PAD
-    included.  A boolean marker over the vocabulary collects the ids;
-    ``np.unique`` would import ``numpy.ma`` into every ``infer`` process.
-    Rows of other ids are zero.  The caller's dict is left as it is.
+
+def scoring_params(params: dict[str, Value], batches: Sequence[EncodedBatch]) -> dict[str, Value]:
+    """Constant parameters that score ``batches``: one encoder row per
+    distinct id in them plus NOBIAS_ID (the te reference), filled by
+    :func:`model.encode` in chunks of SCORING_CHUNK ids, which it gathers.
+
+    A row of the mixing layer's ``[·, d] @ [d, d]`` product has the same
+    bits in any product of two rows or more, so the gathered rows are the
+    per-slot encoder's, signed zeros at PAD included.  A boolean marker
+    collects the ids; ``np.unique`` would import ``numpy.ma`` into every
+    ``infer`` process.  The caller's dict is left as it is.
     """
     consts = {name: A.const(p.data, name) for name, p in params.items()}
     table = consts["encoder.embed"].data
@@ -220,9 +230,11 @@ def scoring_params(params: dict[str, Value], batches: Sequence[EncodedBatch]) ->
                                       f"table has {len(seen)} rows")
             seen[ids] = True
     ids = np.flatnonzero(seen)
-    rows = np.zeros_like(table)
-    rows[ids] = M.encode(ids, consts).data
+    rows = np.empty((len(ids), table.shape[1]))
+    for start, stop in _spans(len(ids), SCORING_CHUNK, 2):
+        rows[start:stop] = M.encode(ids[start:stop], consts).data
     consts[M.ENCODED_ROWS] = A.const(rows, M.ENCODED_ROWS)
+    consts[M.ENCODED_INDEX] = A.const(np.cumsum(seen) - 1, M.ENCODED_INDEX)  # row of each marked id
     return consts
 
 
@@ -233,22 +245,27 @@ def predict_batch(params: dict[str, Value], batch: EncodedBatch, spec: ModeSpec)
     factual pass, the counterfactual built from its bias score, and the te
     reference, the counterfactual built from the bias head's score of the
     NOBIAS input.  Other modes get ``{"factual_label"}`` read off the
-    sentence head.  Records hold model output only; the caller adds
-    ``categories``.  Raw parameters become this batch's
-    :func:`scoring_params`; either way they are constant leaves, so no op
-    records a backward closure.
+    sentence head.  Both run on SCORING_BLOCK-row blocks with one pass's
+    bits.  Records hold model output only; the caller adds ``categories``.
+    Raw parameters become this batch's :func:`scoring_params`; either way
+    they are constant leaves, so no op records a backward closure.
     """
     if M.ENCODED_ROWS not in params:
         params = scoring_params(params, [batch])
-    if spec.invariant_responses:
-        factual = M.ccdf_forward(params, batch)
-        counterfactual = M.counterfactual_logits(params, factual.y_b)
-        nobias = nobias_batch(batch)
-        bh = M.encode(nobias.b_ids, params, site="enc_b")
-        reference = M.counterfactual_logits(params, M.bias_head(bh, nobias.b_mask, params))
-        return inference_records(factual, counterfactual, reference)
-    scores = sentence_branch_forward(params, batch).data
-    return [{"factual_label": argmax_label(row)} for row in scores]
+    records: list[dict] = []
+    nobias = nobias_batch(batch)
+    for start, stop in _spans(len(batch.labels), SCORING_BLOCK, 4):
+        block = EncodedBatch(batch.x_ids[start:stop], batch.b_ids[start:stop], batch.labels[start:stop])
+        if spec.invariant_responses:
+            factual = M.ccdf_forward(params, block)
+            counterfactual = M.counterfactual_logits(params, factual.y_b)
+            bh = M.encode(nobias.b_ids[start:stop], params, site="enc_b")
+            reference = M.counterfactual_logits(params, M.bias_head(bh, nobias.b_mask[start:stop], params))
+            records += inference_records(factual, counterfactual, reference)
+        else:
+            scores = sentence_branch_forward(params, block).data
+            records += [{"factual_label": argmax_label(row)} for row in scores]
+    return records
 
 
 def evaluate(

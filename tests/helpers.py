@@ -7,7 +7,7 @@ import numpy as np
 
 from cfdetox import autodiff as A
 from cfdetox.autodiff import Value
-from cfdetox.data import EncodedBatch, Example, nobias_batch
+from cfdetox.data import PAD_ID, EncodedBatch, Example, nobias_batch
 from cfdetox.effects import EffectBundle, effects
 from cfdetox.model import FUSION_GUARD_EPS, ScenarioLogits, ccdf_forward, counterfactual_logits
 from cfdetox.training import _sum_terms, loss_terms
@@ -34,6 +34,27 @@ def make_batch(rng: np.random.Generator, n: int = 2, vocab_size: int = 12,
         x_ids[i, int(rng.integers(1, lx + 1)):] = 0
         b_ids[i, int(rng.integers(1, lb + 1)):] = 0
     return EncodedBatch(x_ids=x_ids, b_ids=b_ids, labels=rng.integers(0, 2, n))
+
+
+def encode_reference(ids: np.ndarray, params: dict[str, Value], drop=None, site: str = "enc_x") -> Value:
+    """The five-op chain ``model.encode`` ran before its mixing layer
+    became one ``autodiff.mix`` node."""
+    emb = A.embed(ids, params["encoder.embed"])
+    h = A.tanh(A.affine(emb, params["encoder.mix.w"], params["encoder.mix.b"]))
+    if drop is not None:
+        h = A.dropout(h, drop.p, seed=drop.seed, step=drop.step, site=site)
+    return A.mul(h, (ids != PAD_ID).astype(np.float64)[..., None])
+
+
+def backprop_chain(out: Value, g: np.ndarray) -> None:
+    """Run the closures from ``out`` down through each node's first
+    parent to a leaf, with incoming gradient ``g`` exactly as given
+    (``backward`` would turn a -0.0 in it into +0.0)."""
+    out.grad = g
+    node = out
+    while node._backward_fn is not None:
+        node._backward_fn(node.grad)
+        node = node._parents[0]
 
 
 def examples_from(texts_labels) -> list[Example]:

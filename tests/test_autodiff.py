@@ -218,6 +218,15 @@ def test_shared_node_gradients_accumulate():
     assert float(w.grad) == pytest.approx(expected, rel=1e-12)
 
 
+def test_only_nodes_that_backward_reaches_keep_their_inputs():
+    # a graph over constants, as scoring builds it, holds no input alive,
+    # so each block's tensors die with the block
+    x = A.const(np.ones((3, 4)))
+    w = A.param(np.ones((3, 4)))
+    assert A.mul(A.tanh(x), 2.0)._parents == ()
+    assert A.mul(A.tanh(w), 2.0)._parents[0]._parents == (w,)
+
+
 def test_backward_frees_each_intermediate_gradient_once_it_has_run():
     # a 20-op elementwise chain holds 20 intermediate grads if none is
     # freed before the walk ends; freed as it goes, a few are live at once

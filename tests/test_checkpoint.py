@@ -1,5 +1,6 @@
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,3 +162,19 @@ def test_record_names_out_of_order_are_parse_error(tmp_path, names, message):
         load_arrays(path)
     path.write_bytes(checkpoint_bytes([(name, [float(i)]) for i, name in enumerate(sorted(set(names)))]))
     assert list(load_arrays(path)) == sorted(set(names))
+
+
+def test_load_params_reads_each_array_once(tmp_path):
+    # a train-long-sized checkpoint (3.85 MB): no whole-file buffer, no
+    # per-record copy, no copy into the Values
+    path = tmp_path / "model.bin"
+    save_params(path, init_params(ModelConfig(vocab_size=3023, embed_dim=128, hidden=256),
+                                  np.random.default_rng(0)))
+    tracemalloc.start()
+    try:
+        params = load_params(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert params["encoder.embed"].data.shape == (3023, 128)
+    assert peak <= 1.3 * path.stat().st_size

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from cfdetox.model import (
     fuse,
     init_params,
 )
-from helpers import gradcheck, make_batch, total_loss
+from helpers import backprop_chain, encode_reference, gradcheck, make_batch, total_loss
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +57,72 @@ def test_encode_dropout_only_when_ctx_given(tiny_params):
     plain = encode(ids, tiny_params)
     dropped = encode(ids, tiny_params, drop=DropoutCtx(0.5, seed=0, step=1))
     assert not (plain.data == dropped.data).all()
+
+
+@pytest.mark.parametrize("drop", [None, DropoutCtx(0.1, seed=3, step=7), DropoutCtx(0.7, seed=4, step=8)],
+                         ids=["no-dropout", "dropout", "whole-rows-dropped"])
+def test_mixing_node_has_the_bits_of_the_five_op_chain(monkeypatch, drop):
+    # forward output and the gradients of the embedding rows, W and b,
+    # against the chain the node replaced, under incoming gradients that
+    # hold +0.0 and -0.0
+    rng = np.random.default_rng(21)
+    cfg = ModelConfig(vocab_size=40, embed_dim=3, hidden=4)
+    ids = rng.integers(1, 40, (6, 9))
+    ids[:, 6:] = 0
+    ids[0, 1:] = 0
+    g = rng.normal(size=(6, 9, 3))
+    g[1] = 0.0
+    g[2] = -0.0
+    g[3, ::2] = -0.0
+    runs = []
+    for build in (encode, encode_reference):
+        params = init_params(cfg, np.random.default_rng(22))
+        params["encoder.mix.b"].data = np.array([-0.4, 0.1, 0.6])
+        emb = A.param(params["encoder.embed"].data[ids])
+        monkeypatch.setattr(A, "embed", lambda ids, table: emb)
+        out = build(ids, params, drop)
+        backprop_chain(out, g.copy())
+        runs.append((out.data, emb.grad, params["encoder.mix.w"].grad, params["encoder.mix.b"].grad))
+    for node, chain in zip(*runs):
+        assert node.tobytes() == chain.tobytes()
+    if drop is not None and drop.p > 0.5:
+        assert (runs[0][0][ids != 0] == 0).all(axis=-1).any()
+
+
+def test_encode_gradients_match_finite_differences():
+    rng = np.random.default_rng(23)
+    params = init_params(ModelConfig(vocab_size=10, embed_dim=4, hidden=3), rng)
+    params["encoder.mix.b"].data = rng.normal(0.0, 0.3, 4)
+    ids = np.array([[3, 5, 1, 0], [2, 2, 9, 7]])
+    weights = rng.normal(size=(2, 4, 4))
+    drop = DropoutCtx(0.3, seed=1, step=2)
+
+    def build():
+        v = A.mul(encode(ids, params, drop), weights)
+        while v.data.ndim > 0:
+            v = A.mean_pool(v, np.ones(v.data.shape[0]), axis=0)
+        return v
+
+    leaves = [params[name] for name in ("encoder.embed", "encoder.mix.w", "encoder.mix.b")]
+    gradcheck(build, leaves, max_entries_per_leaf=8, rng=rng)
+
+
+def test_encode_keeps_about_three_batch_tensors_for_backward():
+    # besides its output the mixing node keeps the embedding rows, the
+    # tanh output and a boolean keep pattern; the five-op chain it
+    # replaced kept six [B, L, d] float64 tensors
+    rng = np.random.default_rng(24)
+    params = init_params(ModelConfig(vocab_size=300, embed_dim=128, hidden=4), rng)
+    ids = rng.integers(1, 300, (8, 120))
+    ids[:, 110:] = 0
+    tracemalloc.start()
+    try:
+        out = encode(ids, params, DropoutCtx(0.1, seed=0, step=1))
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert live < 3.3 * out.data.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import weakref
@@ -9,7 +10,16 @@ import cfdetox.training as T
 from cfdetox import autodiff as A
 from cfdetox import model as M
 from cfdetox.checkpoint import save_params
-from cfdetox.data import EncodedBatch, Vocab, encode_batch, generate_synthetic_corpus, synthetic_lexicon
+from cfdetox.data import (
+    NOBIAS_ID,
+    RESERVED,
+    EncodedBatch,
+    Example,
+    Vocab,
+    encode_batch,
+    generate_synthetic_corpus,
+    synthetic_lexicon,
+)
 from cfdetox.effects import inference_records
 from cfdetox.errors import ContractError, NumericsError, ValidationError, VocabularyError
 from cfdetox.model import ScenarioLogits, ccdf_forward
@@ -25,7 +35,7 @@ from cfdetox.training import (
     sentence_branch_forward,
     train,
 )
-from helpers import ccdf_scenarios, examples_from, make_batch, total_loss
+from helpers import ccdf_scenarios, encode_reference, examples_from, make_batch, total_loss
 
 
 def small_config(**overrides):
@@ -396,9 +406,56 @@ def test_encode_through_scoring_rows_is_the_per_slot_encoder_bit_for_bit(n, leng
         assert gathered.tobytes() == M.encode(ids, params).data.tobytes()
 
 
+@pytest.mark.parametrize("n_ids", [2, 256, 257, 258, 513, 600])
+def test_scoring_rows_are_one_per_marked_id_with_the_vocabulary_wide_bits(n_ids):
+    # the compact table, filled in chunks, against the rows one encoder
+    # call over every marked id gave when the table spanned the vocabulary
+    rng = np.random.default_rng(n_ids)
+    params = M.init_params(M.ModelConfig(vocab_size=700, embed_dim=128, hidden=4), rng)
+    params["encoder.mix.b"].data = rng.normal(0.0, 0.3, 128)
+    words = rng.choice(np.arange(NOBIAS_ID + 1, 700), n_ids - 1, replace=False)
+    batch = EncodedBatch(x_ids=words[None, :], b_ids=np.array([[NOBIAS_ID]]), labels=np.array([0]))
+    scoring = T.scoring_params(params, [batch])
+    marked = np.sort(np.append(words, NOBIAS_ID))
+    assert scoring[M.ENCODED_INDEX].data[marked].tolist() == list(range(n_ids))
+    assert scoring[M.ENCODED_ROWS].data.shape == (n_ids, 128)
+    assert scoring[M.ENCODED_ROWS].data.tobytes() == encode_reference(marked, params).data.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 15, 16, 17, 18, 19, 20, 33, 50, 63, 64])
+def test_scoring_in_blocks_gives_the_one_pass_records_byte_for_byte(n):
+    # OpenBLAS gives the tail rows of the heads' [256, 2] product other
+    # bits than the same rows inside a 4-row panel, so blocks must keep
+    # every row where one pass over the batch puts it
+    rng = np.random.default_rng(100 + n)
+    params = M.init_params(M.ModelConfig(vocab_size=200, embed_dim=128, hidden=256), rng)
+    for branch in ("e", "x", "b"):
+        params[f"branch.{branch}.w2"].data = rng.normal(0.0, 0.5, (256, 2))
+    batch = make_batch(rng, n=n, vocab_size=200, lx=24, lb=4)
+    scoring = T.scoring_params(params, [batch])
+    one_pass = inference_records(*ccdf_scenarios(scoring, batch))
+    assert json.dumps(predict_batch(scoring, batch, MODE_SPECS["ccdf"])) == json.dumps(one_pass)
+
+
+def test_scoring_one_example_with_a_train_long_sized_model_stays_small(tiny_lexicon):
+    # a vocabulary-wide rows table alone would be 3023 x 128 doubles
+    words = [f"w{i}" for i in range(3019)]
+    vocab = Vocab(list(RESERVED) + words)
+    cfg = small_config(embed_dim=128, hidden=256, lx=128)
+    params = M.init_params(cfg.model_config(len(vocab)), np.random.default_rng(25))
+    example = Example.from_text(" ".join(words[:110] + ["black"]), 1)
+    tracemalloc.start()
+    try:
+        evaluate(params, cfg, [example], tiny_lexicon, vocab, "tie")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
+
+
 def test_evaluate_runs_the_mixing_layer_once_per_call(monkeypatch):
-    # every distinct id goes through the encoder's affine once, whatever
-    # the number of batches; the heads' affines are the rest
+    # every distinct id goes through the encoder's mixing layer once,
+    # whatever the number of batches
     train_set, test_set, lexicon = small_corpus(n=48)
     test_set = test_set * 12
     assert len(test_set) > 2 * T.EVAL_BATCH_SIZE
@@ -406,14 +463,14 @@ def test_evaluate_runs_the_mixing_layer_once_per_call(monkeypatch):
     vocab = Vocab.build(train_set)
     params = M.init_params(cfg.model_config(len(vocab)), np.random.default_rng(3))
     mixing = []
-    affine = A.affine
+    mix = A.mix
 
-    def counting_affine(x, w, b):
+    def counting_mix(x, w, b, *args, **kwargs):
         if w.op == "encoder.mix.w":
             mixing.append(x.data.shape)
-        return affine(x, w, b)
+        return mix(x, w, b, *args, **kwargs)
 
-    monkeypatch.setattr(A, "affine", counting_affine)
+    monkeypatch.setattr(A, "mix", counting_mix)
     _, records = evaluate(params, cfg, test_set, lexicon, vocab, "tie")
     assert len(records) == len(test_set)
     assert len(mixing) == 1
