@@ -32,11 +32,15 @@ class Value:
     Attributes:
         data: float64 array (scalars have shape ``()``).
         grad: same-shape gradient array, allocated lazily by backward().
+        row_grad: an embedding table's gradient inside a step, row-sparse:
+            the sorted ids of the rows :func:`embed`'s backward touched and
+            those rows, ``[k]`` and ``[k, d]``.  ``grad`` reads it as a new
+            dense array (every other row +0.0); setting ``grad`` clears it.
         op: provenance tag, useful in error messages and debugging.
         requires_grad: whether backward() should reach this node.
     """
 
-    __slots__ = ("data", "grad", "op", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "_grad", "row_grad", "op", "requires_grad", "_parents", "_backward_fn")
 
     def __init__(
         self,
@@ -47,7 +51,8 @@ class Value:
         backward_fn: Callable[[np.ndarray], None] | None = None,
     ):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
+        self._grad: np.ndarray | None = None
+        self.row_grad: tuple[np.ndarray, np.ndarray] | None = None
         self.op = op
         self.requires_grad = requires_grad
         self._parents = parents
@@ -56,6 +61,19 @@ class Value:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        if self.row_grad is None:
+            return self._grad
+        ids, rows = self.row_grad
+        dense = np.zeros_like(self.data)
+        dense[ids] = rows
+        return dense
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        self._grad, self.row_grad = g, None
 
     def accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
@@ -118,11 +136,25 @@ def embed(ids: np.ndarray, table: Value) -> Value:
     out_data = table.data[ids]
 
     def backward_fn(g: np.ndarray) -> None:
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
         flat_ids = np.ascontiguousarray(ids.reshape(-1), dtype=np.int64)
         rows = np.ascontiguousarray(g.reshape(-1, table.data.shape[1]))
-        scatter_add_rows(table.grad, flat_ids, rows)
+        if table._grad is not None:  # dense already (set, or another op's addend): add into it
+            scatter_add_rows(table._grad, flat_ids, rows)
+            return
+        # the row-sparse gradient grows to the union of the rows touched so
+        # far; rows start at +0.0 and take this pass's addends in index
+        # order, so each holds the bits of the dense scatter-add
+        old = table.row_grad
+        touched = np.zeros(vocab_size, dtype=bool)
+        touched[flat_ids] = True
+        if old is not None:
+            touched[old[0]] = True
+        touched = np.flatnonzero(touched)
+        compact = np.zeros((touched.size, rows.shape[1]))
+        if old is not None:
+            compact[np.searchsorted(touched, old[0])] = old[1]
+        scatter_add_rows(compact, np.searchsorted(touched, flat_ids), rows)
+        table.row_grad = (touched, compact)
 
     return _node(out_data, (table,), "embed", backward_fn)
 

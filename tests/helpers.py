@@ -9,6 +9,7 @@ from cfdetox import autodiff as A
 from cfdetox.autodiff import Value
 from cfdetox.data import PAD_ID, EncodedBatch, Example, nobias_batch
 from cfdetox.effects import EffectBundle, effects
+from cfdetox.kernels import scatter_add_rows
 from cfdetox.model import FUSION_GUARD_EPS, ScenarioLogits, ccdf_forward, counterfactual_logits
 from cfdetox.training import _sum_terms, loss_terms
 
@@ -44,6 +45,16 @@ def encode_reference(ids: np.ndarray, params: dict[str, Value], drop=None, site:
     if drop is not None:
         h = A.dropout(h, drop.p, seed=drop.seed, step=drop.step, site=site)
     return A.mul(h, (ids != PAD_ID).astype(np.float64)[..., None])
+
+
+def embed_backward_reference(table: Value, ids: np.ndarray, g: np.ndarray) -> None:
+    """The dense embedding backward the row-sparse gradient replaced: a
+    ``[V, d]`` zero table that each pass's addends are scattered into."""
+    if table.grad is None:
+        table.grad = np.zeros_like(table.data)
+    flat_ids = np.ascontiguousarray(ids.reshape(-1), dtype=np.int64)
+    rows = np.ascontiguousarray(g.reshape(-1, table.data.shape[1]))
+    scatter_add_rows(table.grad, flat_ids, rows)
 
 
 def backprop_chain(out: Value, g: np.ndarray) -> None:

@@ -9,7 +9,10 @@ from hypothesis.extra import numpy as npst
 
 from cfdetox import autodiff as A
 from cfdetox.errors import ContractError, DomainError, ShapeError, VocabularyError
-from helpers import gradcheck
+from cfdetox.data import PAD_ID
+from cfdetox.model import ModelConfig, ccdf_forward, init_params
+from cfdetox.training import _sum_terms, loss_terms
+from helpers import embed_backward_reference, gradcheck, make_batch
 
 
 def finite_difference(build, leaf, idx, h=1e-5):
@@ -426,3 +429,79 @@ def test_graph_execution_bit_deterministic():
     gx1, gw1 = run()
     gx2, gw2 = run()
     assert (gx1 == gx2).all() and (gw1 == gw2).all()
+
+
+# ---------------------------------------------------------------------------
+# the embedding table's row-sparse gradient
+# ---------------------------------------------------------------------------
+
+def _signed_grads(rng, ids, d):
+    """Incoming gradients for ``ids`` with +0.0 and -0.0 entries mixed in."""
+    g = rng.normal(size=ids.shape + (d,))
+    g[rng.random(g.shape) < 0.2] = 0.0
+    g[rng.random(g.shape) < 0.2] = -0.0
+    return g
+
+
+def test_embed_gradient_is_row_sparse_and_reads_as_the_dense_scatter():
+    # ids repeat within each pass, the two passes share ids and PAD rows,
+    # and the incoming gradients hold both signed zeros
+    rng = np.random.default_rng(30)
+    table = A.param(rng.normal(size=(40, 6)))
+    ref = A.param(table.data)
+    x_ids = np.array([[5, 9, 5, PAD_ID, PAD_ID], [9, 9, 17, 5, PAD_ID]])
+    b_ids = np.array([[17, PAD_ID], [33, 5]])
+    passes = [(x_ids, _signed_grads(rng, x_ids, 6)), (b_ids, _signed_grads(rng, b_ids, 6))]
+    passes[0][1][x_ids == PAD_ID] = -0.0
+    for ids, g in passes:
+        A.embed(ids, table)._backward_fn(g)
+        embed_backward_reference(ref, ids, g)
+    touched, rows = table.row_grad
+    assert touched.tolist() == [PAD_ID, 5, 9, 17, 33]
+    assert rows.shape == (5, 6)
+    assert table.grad.tobytes() == ref.grad.tobytes()  # signed zeros included
+
+
+def test_embed_gradient_accumulates_across_backward_calls(monkeypatch):
+    # two backward calls through the model without zero_grads between them
+    # give the dense scatter's bits, each pass's addends in order
+    rng = np.random.default_rng(31)
+    params = init_params(ModelConfig(vocab_size=30, embed_dim=6, hidden=5), rng)
+    table = params["encoder.embed"]
+    passes = []
+    embed = A.embed
+
+    def recorded(ids, tbl):
+        out = embed(ids, tbl)
+        fn = out._backward_fn
+
+        def backward_fn(g):
+            passes.append((ids, g.copy()))
+            fn(g)
+        out._backward_fn = backward_fn
+        return out
+
+    monkeypatch.setattr(A, "embed", recorded)
+    for seed in (0, 1):
+        batch = make_batch(np.random.default_rng(seed), n=3, vocab_size=30)
+        A.backward(_sum_terms(loss_terms(ccdf_forward(params, batch), batch.labels)))
+    assert len(passes) == 4  # sentence and bias passes, twice
+    ref = A.param(table.data)
+    for ids, g in passes:
+        embed_backward_reference(ref, ids, g)
+    assert table.row_grad is not None
+    assert table.grad.tobytes() == ref.grad.tobytes()
+
+
+def test_dense_reads_and_writes_of_a_row_sparse_gradient():
+    table = A.param(np.zeros((4, 2)))
+    A.embed(np.array([2, 2]), table)._backward_fn(np.array([[1.0, -0.0], [2.0, -0.0]]))
+    dense = table.grad
+    assert dense.tolist() == [[0.0, 0.0], [0.0, 0.0], [3.0, 0.0], [0.0, 0.0]]
+    assert not np.signbit(dense).any()
+    table.accumulate(np.ones((4, 2)))  # a dense addend turns it dense
+    assert table.row_grad is None and table.grad[2].tolist() == [4.0, 1.0]
+    A.embed(np.array([0]), table)._backward_fn(np.array([[1.0, 1.0]]))
+    assert table.row_grad is None and table.grad[0].tolist() == [2.0, 2.0]
+    A.zero_grads([table])
+    assert table.grad is None and table.row_grad is None

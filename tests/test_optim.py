@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cfdetox import autodiff as A
-from cfdetox.optim import AdamWState, adamw_step
+from cfdetox import optim as O
+from cfdetox.optim import ROW_BLOCK, AdamWState, adamw_step
 
 
 def make_param(value, grad):
@@ -81,3 +84,56 @@ def test_bit_deterministic_across_runs():
         return np.concatenate([p.data.reshape(-1) for p in params.values()])
 
     assert (run() == run()).all()
+
+
+def test_row_sparse_gradient_updates_like_its_dense_form():
+    # row 0 is touched at every step, row 5 only at steps 1 and 5, the last
+    # row of the partial last block at steps 2 and 5; the rest never
+    n_rows, d = 2 * ROW_BLOCK + 37, 3
+    rng = np.random.default_rng(40)
+    sparse = A.param(rng.normal(size=(n_rows, d)))
+    dense = A.param(sparse.data)
+    states = [AdamWState(lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01) for _ in range(2)]
+    touched = [[0, 5], [0, n_rows - 1], [0], [0, ROW_BLOCK], [0, 5, n_rows - 1]]
+    for ids in touched:
+        ids = np.array(ids)
+        rows = rng.normal(size=(ids.size, d))
+        rows[0, 0] = -0.0
+        sparse.row_grad = (ids, rows)
+        grad = np.zeros((n_rows, d))
+        grad[ids] = rows
+        dense.grad = grad
+        adamw_step({"table": sparse}, states[0])
+        adamw_step({"table": dense}, states[1])
+        assert sparse.data.tobytes() == dense.data.tobytes()
+        assert states[0].m["table"].tobytes() == states[1].m["table"].tobytes()
+        assert states[0].v["table"].tobytes() == states[1].v["table"].tobytes()
+    assert sparse.row_grad[0] is ids  # the gradient is left untouched
+
+
+def test_row_sparse_gradient_is_made_dense_one_row_block_at_a_time(monkeypatch):
+    # a train-long-sized table: its dense gradient would be 2.95 MiB
+    n_rows, d = 3023, 128
+    rng = np.random.default_rng(41)
+    table = A.param(rng.normal(size=(n_rows, d)))
+    ids = np.sort(rng.choice(n_rows, 768, replace=False))
+    table.row_grad = (ids, rng.normal(size=(ids.size, d)))
+    state = AdamWState(lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01)
+    adamw_step({"table": table}, state)  # allocates the moments
+    sizes = []
+    update = O.adamw_update
+
+    def recorded(p, g, *args):
+        sizes.append(g.size)
+        update(p, g, *args)
+
+    monkeypatch.setattr(O, "adamw_update", recorded)
+    tracemalloc.start()
+    try:
+        adamw_step({"table": table}, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(sizes) == n_rows * d and max(sizes) == ROW_BLOCK * d
+    # one block of gradient plus the pure kernel's two 128 KiB scratch blocks
+    assert peak < 4 * ROW_BLOCK * d * 8

@@ -23,6 +23,7 @@ from cfdetox.data import (
 from cfdetox.effects import inference_records
 from cfdetox.errors import ContractError, NumericsError, ValidationError, VocabularyError
 from cfdetox.model import ScenarioLogits, ccdf_forward
+from cfdetox.optim import AdamWState
 from cfdetox.training import (
     MODE_SPECS,
     TrainConfig,
@@ -451,6 +452,30 @@ def test_scoring_one_example_with_a_train_long_sized_model_stays_small(tiny_lexi
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 2**20
+
+
+def test_train_step_holds_no_vocabulary_sized_gradient():
+    # a train-long-sized model and batch: a dense [3023, 128] table gradient
+    # (2.95 MiB) takes this step's peak to 9.8 MiB; the row-sparse one, to 6.9
+    cfg = small_config(embed_dim=128, hidden=256, lx=128)
+    params = M.init_params(cfg.model_config(3023), np.random.default_rng(26))
+    opt = AdamWState(lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01)
+
+    def batch(rng):
+        b_ids = rng.integers(len(RESERVED), 3023, (8, 4))
+        b_ids[:, 2:] = 0
+        return EncodedBatch(x_ids=rng.integers(len(RESERVED), 3023, (8, 120)), b_ids=b_ids,
+                            labels=rng.integers(0, 2, 8))
+
+    rng = np.random.default_rng(27)
+    T._train_step(cfg, params, opt, batch(rng), 1)  # allocates AdamW's moments
+    tracemalloc.start()
+    try:
+        T._train_step(cfg, params, opt, batch(rng), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_evaluate_runs_the_mixing_layer_once_per_call(monkeypatch):
