@@ -29,6 +29,7 @@ from cfdetox import data as D
 from cfdetox import model as M
 from cfdetox import training as T
 from cfdetox.errors import CfDetoxError, NumericsError, ValidationError, read_text
+# unused here, match_biased_tokens stays for perfbench/tracer.py to patch
 from cfdetox.lexicon import load_lexicon, match_biased_tokens, save_lexicon
 from cfdetox.metrics import render_table
 from cfdetox.training import TrainConfig
@@ -232,8 +233,8 @@ def _write_loss_csv(path: Path, result: T.TrainResult) -> None:
 
 
 def _train_one(config: TrainConfig, data_dir: Path, run_dir: Path) -> T.TrainResult:
-    train_set = D.load_jsonl(data_dir / "train.jsonl")
-    valid_set = D.load_jsonl(data_dir / "valid.jsonl")
+    train_set = D.read_corpus(data_dir / "train.jsonl")
+    valid_set = D.read_corpus(data_dir / "valid.jsonl")
     lexicon = load_lexicon(data_dir / "lexicon.csv")
     run_dir.mkdir(parents=True, exist_ok=True)
     _write_config(run_dir / CONFIG_FILE, config)
@@ -301,17 +302,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ValidationError(f"--records and the report are the same file: {out}")
     params, config, vocab = _load_checkpoint(args.checkpoint)
     lexicon = load_lexicon(args.lexicon)
-    examples = D.load_jsonl(args.data)
-    if not examples:
+    corpus = D.read_corpus(args.data)
+    if not len(corpus):
         raise ValidationError(f"dataset {args.data} is empty")
-    report, records = T.evaluate(params, config, examples, lexicon, vocab, args.inference)
+    report, records = T.evaluate(params, config, corpus, lexicon, vocab, args.inference)
     payload = asdict(report)
     ood_report = None
     if args.ood_data:
-        ood_examples = D.load_jsonl(args.ood_data)
-        if not ood_examples:
+        ood_corpus = D.read_corpus(args.ood_data)
+        if not len(ood_corpus):
             raise ValidationError(f"dataset {args.ood_data} is empty")
-        ood_report, _ = T.evaluate(params, config, ood_examples, lexicon, vocab, args.inference)
+        ood_report, _ = T.evaluate(params, config, ood_corpus, lexicon, vocab, args.inference)
         payload["ood"] = asdict(ood_report)
     outputs = {out: json.dumps(payload, indent=2) + "\n"}
     if args.records:
@@ -329,10 +330,10 @@ def cmd_infer(args: argparse.Namespace) -> int:
         raise ValidationError("--text is empty")
     params, config, vocab = _load_checkpoint(args.checkpoint)
     lexicon = load_lexicon(args.lexicon)
-    example = D.Example.from_text(args.text, 0)
-    matched = match_biased_tokens(example.tokens, lexicon)
-    batch = D.encode_batch([example], lexicon, vocab, config.lx, config.lb)
-    record = T.predict_batch(params, batch, config.spec)[0]
+    corpus = D.Corpus.from_sentences([(D.tokenize(args.text), 0)])
+    encoder = D.CorpusEncoder(corpus, lexicon, vocab, config.lx, config.lb)
+    matched = encoder.matches(0)
+    record = T.predict_batch(params, encoder.batch([0]), config.spec)[0]
     record["categories"] = sorted(matched.categories)
     record["text"] = args.text
     record["biased_tokens"] = [

@@ -7,15 +7,16 @@ from __future__ import annotations
 import json
 import sys
 import unicodedata
-from collections import Counter
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from cfdetox.errors import ParseError, ValidationError, numbered_lines, read_text
-from cfdetox.lexicon import Lexicon, match_biased_tokens
+from cfdetox.lexicon import BiasedTokenSet, Lexicon, match_biased_tokens
 
 PAD, UNK, SEP, NOBIAS = "<pad>", "<unk>", "<sep>", "<nobias>"
 RESERVED = (PAD, UNK, SEP, NOBIAS)
@@ -63,10 +64,8 @@ class Example:
         return cls(text=text, tokens=tuple(tokenize(text)), label=label)
 
 
-def load_jsonl(path: str | Path) -> list[Example]:
-    """Read one ``{"text": ..., "label": 0|1}`` object per line, in order."""
-    path = Path(path)
-    examples: list[Example] = []
+def _records(path: Path) -> Iterator[tuple[str, int]]:
+    """(text, label) of each non-blank ``{"text": ..., "label": 0|1}`` line, in order."""
     for line_no, raw in numbered_lines(path):
         line = raw.strip()
         if not line:
@@ -84,8 +83,12 @@ def load_jsonl(path: str | Path) -> list[Example]:
             raise ParseError(path, line_no, f"'text' must be a string, got {type(text).__name__}")
         if not isinstance(label, int) or isinstance(label, bool) or label not in (0, 1):
             raise ParseError(path, line_no, f"'label' must be 0 or 1, got {label!r}")
-        examples.append(Example.from_text(text, label))
-    return examples
+        yield text, label
+
+
+def load_jsonl(path: str | Path) -> list[Example]:
+    """Read one ``{"text": ..., "label": 0|1}`` object per line, in order."""
+    return [Example.from_text(text, label) for text, label in _records(Path(path))]
 
 
 def save_jsonl(path: str | Path, examples: Iterable[Example]) -> None:
@@ -112,15 +115,10 @@ class Vocab:
         return self._ids.get(token, UNK_ID)
 
     @classmethod
-    def build(cls, examples: Iterable[Example]) -> "Vocab":
+    def build(cls, corpus: Corpus) -> "Vocab":
         """Corpus-derived vocabulary, most frequent first (ties by spelling)."""
-        counts = Counter()
-        for ex in examples:
-            counts.update(ex.tokens)
-        for reserved in RESERVED:
-            counts.pop(reserved, None)
-        ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        return cls(list(RESERVED) + [t for t, _ in ordered])
+        counts = [(t, c) for t, c in zip(corpus.tokens, corpus.counts.tolist()) if t not in RESERVED]
+        return cls(list(RESERVED) + [t for t, _ in sorted(counts, key=lambda kv: (-kv[1], kv[0]))])
 
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -160,6 +158,95 @@ class EncodedBatch:
         return (self.b_ids != PAD_ID).astype(np.float64)
 
 
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """A split as flat token ids, the form training and scoring read.
+
+    ``tokens`` lists each distinct token once, in order of first use, and
+    ``counts`` how often it occurs; sentence ``i`` is ``sentence(i)``, the
+    slice ``ids[offsets[i]:offsets[i + 1]]`` of indices into ``tokens``.
+    """
+
+    tokens: tuple[str, ...]
+    counts: np.ndarray  # int64 [len(tokens)]
+    ids: np.ndarray  # intc [tokens in the split]
+    offsets: np.ndarray  # int64 [len + 1]
+    labels: np.ndarray  # int64 [len]
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def sentence(self, i: int) -> np.ndarray:
+        return self.ids[self.offsets[i] : self.offsets[i + 1]]
+
+    @classmethod
+    def from_sentences(cls, sentences: Iterable[tuple[Sequence[str], int]]) -> "Corpus":
+        """(tokens, label) pairs appended to flat typed buffers, which the
+        arrays then view: no per-sentence object outlives its pair."""
+        table: defaultdict[str, int] = defaultdict()
+        table.default_factory = table.__len__  # a token not seen before takes the next index
+        ids, offsets, labels = array("i"), array("q", [0]), array("q")
+        for tokens, label in sentences:
+            ids.extend(map(table.__getitem__, tokens))
+            offsets.append(len(ids))
+            labels.append(label)
+        flat = np.frombuffer(ids, dtype=np.intc)
+        counts = np.zeros(len(table), dtype=np.int64)
+        for start in range(0, len(flat), 8192):  # bincount copies what it counts to int64
+            counts += np.bincount(flat[start : start + 8192], minlength=len(table))
+        return cls(tuple(table), counts, flat, np.frombuffer(offsets, dtype=np.int64),
+                   np.frombuffer(labels, dtype=np.int64))
+
+    @classmethod
+    def from_examples(cls, examples: Iterable[Example]) -> "Corpus":
+        return cls.from_sentences((ex.tokens, ex.label) for ex in examples)
+
+
+def read_corpus(path: str | Path) -> Corpus:
+    """The split at ``path`` as a Corpus, with ``load_jsonl``'s parsing and errors; no Example is built."""
+    return Corpus.from_sentences((tokenize(text), label) for text, label in _records(Path(path)))
+
+
+class CorpusEncoder:
+    """Batches of a corpus's rows, as ``encode_batch`` encodes them.
+
+    Each table token's lexicon match, sentence id and bias id are looked
+    up once, here; a batch gathers its rows from them, so it costs what
+    its own tokens cost, whatever the size of the corpus.
+    """
+
+    def __init__(self, corpus: Corpus, lexicon: Lexicon, vocab: Vocab,
+                 max_sentence_len: int, max_bias_len: int, mask_bias: bool = False) -> None:
+        if max_sentence_len < 1 or max_bias_len < 1:
+            raise ValidationError("maximum lengths must be >= 1")
+        self.corpus, self.lexicon = corpus, lexicon
+        self.max_sentence_len, self.max_bias_len = max_sentence_len, max_bias_len
+        # each table token's matched surface and bias id; None and -1 where it matches nothing
+        self._surfaces = [s if s in lexicon.entries else None for s in map(str.lower, corpus.tokens)]
+        self._bias_ids = np.array([-1 if s is None else vocab.id(s) for s in self._surfaces], dtype=np.int64)
+        self._x_ids = np.array([UNK_ID if mask_bias and s is not None else vocab.id(t)
+                                for t, s in zip(corpus.tokens, self._surfaces)], dtype=np.int64)
+
+    def batch(self, rows: Sequence[int]) -> EncodedBatch:
+        """The encoded batch of corpus rows ``rows``, in that order."""
+        x_rows, b_rows = [], []
+        for i in rows:
+            sentence = self.corpus.sentence(i)
+            x_rows.append(self._x_ids[sentence[: self.max_sentence_len]] if len(sentence) else [UNK_ID])
+            matched = self._bias_ids[sentence]
+            matched = matched[matched != -1]
+            interleaved = np.full(max(2 * len(matched) - 1, 1), SEP_ID if len(matched) else NOBIAS_ID)
+            interleaved[: 2 * len(matched) : 2] = matched
+            b_rows.append(interleaved[: self.max_bias_len])
+        return EncodedBatch(_pad_rows(x_rows), _pad_rows(b_rows), self.corpus.labels[np.asarray(rows, dtype=np.intp)])
+
+    def matches(self, i: int) -> BiasedTokenSet:
+        """Row ``i``'s ``match_biased_tokens``, read off the lookups that give its bias ids."""
+        sentence = self.corpus.sentence(i)
+        surfaces = tuple(self._surfaces[t] for t in sentence[self._bias_ids[sentence] != -1].tolist())
+        return BiasedTokenSet(surfaces, frozenset(map(self.lexicon.category, surfaces)))
+
+
 def _pad_rows(rows: Sequence[Sequence[int]]) -> np.ndarray:
     """Right-pad id rows with PAD to the longest one."""
     ids = np.full((len(rows), max(map(len, rows), default=1)), PAD_ID, dtype=np.int64)
@@ -168,14 +255,8 @@ def _pad_rows(rows: Sequence[Sequence[int]]) -> np.ndarray:
     return ids
 
 
-def encode_batch(
-    examples: Sequence[Example],
-    lexicon: Lexicon,
-    vocab: Vocab,
-    max_sentence_len: int,
-    max_bias_len: int,
-    mask_bias: bool = False,
-) -> EncodedBatch:
+def encode_batch(examples: Sequence[Example], lexicon: Lexicon, vocab: Vocab,
+                 max_sentence_len: int, max_bias_len: int, mask_bias: bool = False) -> EncodedBatch:
     """Build (x_ids, b_ids, labels) for a list of examples.
 
     Sentences are truncated to ``max_sentence_len`` ids and bias sequences
@@ -186,24 +267,9 @@ def encode_batch(
     With ``mask_bias`` the sentence ids of matched tokens are replaced by
     UNK (training-time masking mode); the bias sequence is unaffected.
     """
-    if max_sentence_len < 1 or max_bias_len < 1:
-        raise ValidationError("maximum lengths must be >= 1")
-    x_rows: list[list[int]] = []
-    b_rows: list[list[int]] = []
-    for ex in examples:
-        matched = match_biased_tokens(ex.tokens, lexicon).tokens
-        tokens = ex.tokens[:max_sentence_len]
-        if mask_bias:
-            tokens = tuple(UNK if t.lower() in matched else t for t in tokens)
-        x_rows.append([vocab.id(t) for t in tokens] or [UNK_ID])
-        interleaved: list[int] = []
-        for tok in matched:
-            if interleaved:
-                interleaved.append(SEP_ID)
-            interleaved.append(vocab.id(tok))
-        b_rows.append(interleaved[:max_bias_len] or [NOBIAS_ID])
-    labels = np.array([ex.label for ex in examples], dtype=np.int64)
-    return EncodedBatch(x_ids=_pad_rows(x_rows), b_ids=_pad_rows(b_rows), labels=labels)
+    corpus = Corpus.from_examples(examples)
+    encoder = CorpusEncoder(corpus, lexicon, vocab, max_sentence_len, max_bias_len, mask_bias)
+    return encoder.batch(range(len(corpus)))
 
 
 def nobias_batch(batch: EncodedBatch) -> EncodedBatch:

@@ -24,7 +24,8 @@ import numpy as np
 from cfdetox import autodiff as A
 from cfdetox import model as M
 from cfdetox.autodiff import Value
-from cfdetox.data import NOBIAS_ID, EncodedBatch, Example, Vocab, encode_batch, nobias_batch
+# unused here, encode_batch and match_biased_tokens stay for perfbench/tracer.py to patch
+from cfdetox.data import NOBIAS_ID, Corpus, CorpusEncoder, EncodedBatch, Vocab, encode_batch, nobias_batch
 from cfdetox.effects import argmax_label, inference_records
 from cfdetox.errors import ContractError, DomainError, NumericsError, ValidationError, VocabularyError
 from cfdetox.lexicon import Lexicon, match_biased_tokens
@@ -271,7 +272,7 @@ def predict_batch(params: dict[str, Value], batch: EncodedBatch, spec: ModeSpec)
 def evaluate(
     params: dict[str, Value],
     config: TrainConfig,
-    examples: Sequence[Example],
+    corpus: Corpus,
     lexicon: Lexicon,
     vocab: Vocab,
     inference: str,
@@ -293,17 +294,18 @@ def evaluate(
     spec = config.spec
     if inference not in spec.rules:
         raise ValidationError(f"inference {inference!r} requires a ccdf checkpoint, not mode {config.mode!r}")
-    if not examples:
+    if not len(corpus):
         raise ValidationError("cannot evaluate an empty dataset")
-    chunks = [examples[start : start + EVAL_BATCH_SIZE] for start in range(0, len(examples), EVAL_BATCH_SIZE)]
-    batches = [encode_batch(chunk, lexicon, vocab, config.lx, config.lb) for chunk in chunks]
+    encoder = CorpusEncoder(corpus, lexicon, vocab, config.lx, config.lb)
+    chunks = [range(*span) for span in _spans(len(corpus), EVAL_BATCH_SIZE, 1)]
+    batches = [encoder.batch(chunk) for chunk in chunks]
     scoring = scoring_params(params, batches)
     records: list[dict] = []
     for chunk, batch in zip(chunks, batches):
-        for record, ex in zip(predict_batch(scoring, batch, spec), chunk):
-            record["categories"] = sorted(match_biased_tokens(ex.tokens, lexicon).categories)
+        for record, i in zip(predict_batch(scoring, batch, spec), chunk):
+            record["categories"] = sorted(encoder.matches(i).categories)
             records.append(record)
-    labels = [ex.label for ex in examples]
+    labels = corpus.labels.tolist()
     predictions = [r[f"{inference}_label"] for r in records]
     report = build_report(predictions, labels, [r["categories"] for r in records], config.mode, inference)
     if len(spec.rules) > 1:
@@ -361,8 +363,8 @@ def _train_step(
 
 def train(
     config: TrainConfig,
-    train_set: Sequence[Example],
-    valid_set: Sequence[Example],
+    train_set: Corpus,
+    valid_set: Corpus,
     lexicon: Lexicon,
 ) -> TrainResult:
     """Seeded minibatch training with periodic validation.
@@ -374,7 +376,7 @@ def train(
     highest validation F1; ties keep the earlier one.  Aborts with the step
     number if the loss stops being finite.
     """
-    if not train_set or not valid_set:
+    if not len(train_set) or not len(valid_set):
         raise ValidationError("train and validation splits must be non-empty")
     vocab = Vocab.build(train_set)
     seed_seq = np.random.SeedSequence(config.seed)
@@ -394,6 +396,7 @@ def train(
         weight_decay=config.weight_decay,
     )
     shuffle_rng = np.random.Generator(np.random.PCG64(shuffle_seq))
+    encoder = CorpusEncoder(train_set, lexicon, vocab, config.lx, config.lb, mask_bias=spec.mask_bias)
 
     last_step = config.epochs * math.ceil(len(train_set) / config.batch_size)
     history: list[StepLog] = []
@@ -405,8 +408,7 @@ def train(
         order = shuffle_rng.permutation(len(train_set))
         for start in range(0, len(order), config.batch_size):
             step += 1
-            chunk = [train_set[i] for i in order[start : start + config.batch_size]]
-            batch = encode_batch(chunk, lexicon, vocab, config.lx, config.lb, mask_bias=spec.mask_bias)
+            batch = encoder.batch(order[start : start + config.batch_size])
             log = StepLog(step=step, losses=_train_step(config, params, opt, batch, step))
             if step % config.eval_every_steps == 0 or step == last_step:
                 report, _ = evaluate(params, config, valid_set, lexicon, vocab, spec.selection_rule)

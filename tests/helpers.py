@@ -1,15 +1,30 @@
 """Shared test helpers (fixtures live in conftest.py)."""
 
 import struct
-from typing import Callable, Sequence
+from collections import Counter
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from cfdetox import autodiff as A
 from cfdetox.autodiff import Value
-from cfdetox.data import PAD_ID, EncodedBatch, Example, nobias_batch
+from cfdetox.data import (
+    NOBIAS_ID,
+    PAD_ID,
+    RESERVED,
+    SEP_ID,
+    UNK,
+    UNK_ID,
+    Corpus,
+    EncodedBatch,
+    Example,
+    Vocab,
+    nobias_batch,
+)
 from cfdetox.effects import EffectBundle, effects
+from cfdetox.errors import ValidationError
 from cfdetox.kernels import scatter_add_rows
+from cfdetox.lexicon import Lexicon, match_biased_tokens
 from cfdetox.model import FUSION_GUARD_EPS, ScenarioLogits, ccdf_forward, counterfactual_logits
 from cfdetox.training import _sum_terms, loss_terms
 
@@ -70,6 +85,58 @@ def backprop_chain(out: Value, g: np.ndarray) -> None:
 
 def examples_from(texts_labels) -> list[Example]:
     return [Example.from_text(t, y) for t, y in texts_labels]
+
+
+def corpus_from(texts_labels) -> Corpus:
+    return Corpus.from_examples(examples_from(texts_labels))
+
+
+def vocab_build_reference(examples: Iterable[Example]) -> Vocab:
+    """``Vocab.build`` as it was before it read a corpus's token counts."""
+    counts = Counter()
+    for ex in examples:
+        counts.update(ex.tokens)
+    for reserved in RESERVED:
+        counts.pop(reserved, None)
+    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return Vocab(list(RESERVED) + [t for t, _ in ordered])
+
+
+def _pad_rows_reference(rows: Sequence[Sequence[int]]) -> np.ndarray:
+    ids = np.full((len(rows), max(map(len, rows), default=1)), PAD_ID, dtype=np.int64)
+    for i, row in enumerate(rows):
+        ids[i, : len(row)] = row
+    return ids
+
+
+def encode_batch_reference(
+    examples: Sequence[Example],
+    lexicon: Lexicon,
+    vocab: Vocab,
+    max_sentence_len: int,
+    max_bias_len: int,
+    mask_bias: bool = False,
+) -> EncodedBatch:
+    """``encode_batch`` as it was before batches were gathered from a
+    corpus: each example matched and looked up token by token."""
+    if max_sentence_len < 1 or max_bias_len < 1:
+        raise ValidationError("maximum lengths must be >= 1")
+    x_rows: list[list[int]] = []
+    b_rows: list[list[int]] = []
+    for ex in examples:
+        matched = match_biased_tokens(ex.tokens, lexicon).tokens
+        tokens = ex.tokens[:max_sentence_len]
+        if mask_bias:
+            tokens = tuple(UNK if t.lower() in matched else t for t in tokens)
+        x_rows.append([vocab.id(t) for t in tokens] or [UNK_ID])
+        interleaved: list[int] = []
+        for tok in matched:
+            if interleaved:
+                interleaved.append(SEP_ID)
+            interleaved.append(vocab.id(tok))
+        b_rows.append(interleaved[:max_bias_len] or [NOBIAS_ID])
+    labels = np.array([ex.label for ex in examples], dtype=np.int64)
+    return EncodedBatch(x_ids=_pad_rows_reference(x_rows), b_ids=_pad_rows_reference(b_rows), labels=labels)
 
 
 def harmonic_fusion(scores: Sequence[np.ndarray]) -> np.ndarray:

@@ -12,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cfdetox
+from cfdetox import cli
+from cfdetox import data as D
 from cfdetox import training as T
 from cfdetox.checkpoint import load_arrays, save_arrays
 from cfdetox.cli import _load_checkpoint, _parse_config_file, main
-from cfdetox.data import Vocab, encode_batch, load_jsonl
+from cfdetox.data import SEP_ID, UNK_ID, Vocab, encode_batch, load_jsonl
 from cfdetox.errors import CfDetoxError
-from cfdetox.lexicon import load_lexicon, match_biased_tokens
+from cfdetox.lexicon import Lexicon, load_lexicon, match_biased_tokens
 from cfdetox.metrics import Confusion
 from helpers import checkpoint_bytes
 
@@ -657,3 +659,97 @@ def test_text_loaders_return_or_raise_package_errors(fuzz_dir, loader, blob):
         LOADERS[loader](path)
     except CfDetoxError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# splits are read as token-id corpora
+# ---------------------------------------------------------------------------
+
+def test_train_reads_no_example(corpus_dir, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("training must read its splits straight into corpora")
+
+    monkeypatch.setattr(D, "load_jsonl", refuse)
+    monkeypatch.setattr(D.Example, "from_text", refuse)
+    assert main(["train", "--data", str(corpus_dir), "--out", str(tmp_path / "run"), *TINY_TRAIN]) == 0
+
+
+def _split_dir(corpus_dir, out, split, content):
+    shutil.copytree(corpus_dir, out)
+    if content is None:
+        (out / split).unlink()
+    else:
+        (out / split).write_bytes(content)
+    return out
+
+
+@pytest.mark.parametrize("split, content, code, needle", [
+    ("train.jsonl", b'{"text": "a", "label": 0}\n{oops\n', 1, "train.jsonl:2: invalid JSON"),
+    ("valid.jsonl", b'{"text": "a", "label": 0.5}\n', 1, "valid.jsonl:1: 'label' must be 0 or 1"),
+    ("train.jsonl", NOT_UTF8, 1, "train.jsonl:1: not valid UTF-8"),
+    ("valid.jsonl", None, 2, "No such file or directory"),
+])
+def test_train_split_errors_keep_their_exit_codes(corpus_dir, tmp_path, capsys, split, content, code, needle):
+    data = _split_dir(corpus_dir, tmp_path / "data", split, content)
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"), *TINY_TRAIN]) == code
+    _assert_one_line_error(capsys, needle)
+
+
+def test_train_non_finite_loss_exits_3(corpus_dir, tmp_path, capsys, monkeypatch):
+    init = T.M.init_params
+
+    def poisoned(*args, **kwargs):
+        params = init(*args, **kwargs)
+        params["encoder.embed"].data[:] = np.nan
+        return params
+
+    monkeypatch.setattr(T.M, "init_params", poisoned)
+    assert main(["train", "--data", str(corpus_dir), "--out", str(tmp_path / "run"), *TINY_TRAIN]) == 3
+    _assert_one_line_error(capsys, "non-finite")
+
+
+@pytest.mark.parametrize("content, code, needle", [
+    (b'{"text": "a", "label": 0}\n{"text": 3, "label": 0}\n', 1, "d.jsonl:2: 'text' must be a string"),
+    (b"", 1, "is empty"),
+    (None, 2, "No such file or directory"),
+])
+def test_eval_split_errors_keep_their_exit_codes(run_dir, corpus_dir, tmp_path, capsys, content, code, needle):
+    data = tmp_path / "d.jsonl"
+    if content is not None:
+        data.write_bytes(content)
+    rc = main(["eval", "--checkpoint", str(run_dir / "model.bin"), "--data", str(data),
+               "--lexicon", str(corpus_dir / "lexicon.csv"), "--out", str(tmp_path / "report.json")])
+    assert rc == code
+    _assert_one_line_error(capsys, needle)
+
+
+class _CountingEntries(dict):
+    """Lexicon entries that count membership tests: one per lookup."""
+
+    lookups = 0
+
+    def __contains__(self, surface):
+        type(self).lookups += 1
+        return super().__contains__(surface)
+
+
+def test_infer_looks_each_token_up_once(run_dir, corpus_dir, monkeypatch, capsys):
+    # biased_tokens, categories and the batch's bias ids come from one match
+    real_load = cli.load_lexicon
+    monkeypatch.setattr(cli, "load_lexicon", lambda path: Lexicon(_CountingEntries(real_load(path).entries)))
+    monkeypatch.setattr(_CountingEntries, "lookups", 0)
+    batches = []
+    predict = T.predict_batch
+    monkeypatch.setattr(T, "predict_batch", lambda params, batch, spec: batches.append(batch) or predict(
+        params, batch, spec))
+    assert main(["infer", "--checkpoint", str(run_dir / "model.bin"), "--lexicon", str(corpus_dir / "lexicon.csv"),
+                 "--text", "The zorp was dreadful, the ZORP grax today"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert _CountingEntries.lookups == 6  # the, zorp, was, dreadful, grax, today
+    assert record["biased_tokens"] == [{"token": "zorp", "category": "nOI"}, {"token": "zorp", "category": "nOI"},
+                                       {"token": "grax", "category": "OI"}]
+    assert record["categories"] == ["OI", "nOI"]
+    vocab = Vocab.load(run_dir / "vocab.txt")
+    zorp, grax = vocab.id("zorp"), vocab.id("grax")
+    assert batches[0].b_ids.tolist() == [[zorp, SEP_ID, zorp, SEP_ID]]  # lb 4 keeps four of five
+    assert grax != UNK_ID

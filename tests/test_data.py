@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cfdetox import data as D
 from cfdetox.data import (
+    Corpus,
     EncodedBatch,
     Example,
     Vocab,
@@ -22,7 +23,7 @@ from cfdetox.data import (
 )
 from cfdetox.errors import ParseError, ValidationError
 from cfdetox.lexicon import Lexicon
-from helpers import examples_from
+from helpers import corpus_from, examples_from
 
 BOM = "\ufeff"
 
@@ -170,14 +171,14 @@ def test_jsonl_round_trip(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_vocab_reserved_ids():
-    v = Vocab.build(examples_from([("a b b", 0)]))
+    v = Vocab.build(corpus_from([("a b b", 0)]))
     assert v.tokens[:4] == [D.PAD, D.UNK, D.SEP, D.NOBIAS]
     assert v.id("b") == 4  # most frequent corpus token comes first
     assert v.id("never-seen") == D.UNK_ID
 
 
 def test_vocab_save_load(tmp_path):
-    v = Vocab.build(examples_from([("a b", 0), ("b c", 1)]))
+    v = Vocab.build(corpus_from([("a b", 0), ("b c", 1)]))
     v.save(tmp_path / "vocab.txt")
     assert Vocab.load(tmp_path / "vocab.txt").tokens == v.tokens
 
@@ -196,14 +197,14 @@ def test_vocab_load_rejects_a_repeated_token(tmp_path):
 
 
 def test_vocab_load_skips_leading_byte_order_mark(tmp_path):
-    v = Vocab.build(examples_from([("a b", 0)]))
+    v = Vocab.build(corpus_from([("a b", 0)]))
     (tmp_path / "vocab.txt").write_text(BOM + "\n".join(v.tokens) + "\n", encoding="utf-8")
     assert Vocab.load(tmp_path / "vocab.txt").tokens == v.tokens
 
 
 def test_encode_interleaves_separator(tiny_lexicon):
     examples = examples_from([("beat that hoe ass", 1)])
-    vocab = Vocab.build(examples)
+    vocab = Vocab.build(Corpus.from_examples(examples))
     batch = encode_batch(examples, tiny_lexicon, vocab, max_sentence_len=8, max_bias_len=5)
     expected = [vocab.id("hoe"), D.SEP_ID, vocab.id("ass")]
     assert batch.b_ids[0].tolist() == expected
@@ -212,7 +213,7 @@ def test_encode_interleaves_separator(tiny_lexicon):
 
 def test_encode_empty_bias_uses_nobias(tiny_lexicon):
     examples = examples_from([("hello world", 0)])
-    vocab = Vocab.build(examples)
+    vocab = Vocab.build(Corpus.from_examples(examples))
     batch = encode_batch(examples, tiny_lexicon, vocab, 8, 4)
     assert batch.b_ids[0].tolist() == [D.NOBIAS_ID]
     assert batch.b_mask[0].tolist() == [1]
@@ -221,7 +222,7 @@ def test_encode_empty_bias_uses_nobias(tiny_lexicon):
 def test_encode_reserved_surfaces_in_text_as_unk():
     lexicon = Lexicon({"<sep>": "OI", "zorp": "nOI"})
     examples = examples_from([("<pad> hello <sep> <nobias> <unk> zorp", 1), ("<pad>", 0)])
-    vocab = Vocab.build(examples)
+    vocab = Vocab.build(Corpus.from_examples(examples))
     batch = encode_batch(examples, lexicon, vocab, 8, 8)
     unk, hello, zorp = D.UNK_ID, vocab.id("hello"), vocab.id("zorp")
     assert batch.x_ids.tolist() == [[unk, hello, unk, unk, unk, zorp], [unk, 0, 0, 0, 0, 0]]
@@ -233,7 +234,7 @@ def test_encode_reserved_surfaces_in_text_as_unk():
 def test_encode_truncates_long_sentence(tiny_lexicon):
     text = " ".join(f"w{i}" for i in range(200))
     examples = examples_from([(text, 0)])
-    vocab = Vocab.build(examples)
+    vocab = Vocab.build(Corpus.from_examples(examples))
     batch = encode_batch(examples, tiny_lexicon, vocab, 128, 4)
     assert batch.x_ids.shape == (1, 128)
     assert batch.x_ids[0].tolist() == [vocab.id(f"w{i}") for i in range(128)]
@@ -241,7 +242,7 @@ def test_encode_truncates_long_sentence(tiny_lexicon):
 
 def test_encode_width_is_longest_row_capped_at_limit(tiny_lexicon):
     examples = examples_from([("a b c", 0), ("hoe ass black zorp x y z", 1), ("w", 0)])
-    vocab = Vocab.build(examples)
+    vocab = Vocab.build(Corpus.from_examples(examples))
     batch = encode_batch(examples, tiny_lexicon, vocab, 128, 16)
     assert batch.x_ids.shape == batch.x_mask.shape == (3, 7)
     assert batch.b_ids.shape == batch.b_mask.shape == (3, 7)  # 4 matches, 3 separators
@@ -260,7 +261,7 @@ def test_encode_no_examples_gives_empty_batch(tiny_lexicon):
 
 def test_encode_round_trips_in_vocab_tokens(tiny_lexicon):
     examples = examples_from([("my ex so ugly hoe ass", 1), ("hello world", 0)])
-    vocab = Vocab.build(examples)
+    vocab = Vocab.build(Corpus.from_examples(examples))
     batch = encode_batch(examples, tiny_lexicon, vocab, 10, 6)
     for ex, row, mask in zip(examples, batch.x_ids, batch.x_mask):
         decoded = [vocab.tokens[i] for i, m in zip(row, mask) if m == 1]
@@ -269,7 +270,7 @@ def test_encode_round_trips_in_vocab_tokens(tiny_lexicon):
 
 def test_encode_mask_iff_not_pad(tiny_lexicon):
     examples = examples_from([("a b c", 0), ("hoe", 1)])
-    vocab = Vocab.build(examples)
+    vocab = Vocab.build(Corpus.from_examples(examples))
     batch = encode_batch(examples, tiny_lexicon, vocab, 5, 4)
     assert ((batch.x_mask == 1) == (batch.x_ids != D.PAD_ID)).all()
     assert ((batch.b_mask == 1) == (batch.b_ids != D.PAD_ID)).all()
@@ -277,7 +278,7 @@ def test_encode_mask_iff_not_pad(tiny_lexicon):
 
 def test_encode_empty_sentence_becomes_unk(tiny_lexicon):
     examples = [Example(text="...", tokens=(), label=0)]
-    vocab = Vocab.build(examples)
+    vocab = Vocab.build(Corpus.from_examples(examples))
     batch = encode_batch(examples, tiny_lexicon, vocab, 4, 4)
     assert batch.x_ids[0].tolist() == [D.UNK_ID]
     assert batch.x_mask[0].sum() == 1
@@ -286,7 +287,7 @@ def test_encode_empty_sentence_becomes_unk(tiny_lexicon):
 def test_encode_mask_bias_replaces_lexicon_tokens_with_unk(tiny_lexicon):
     # a hand-built example keeps its case; lexicon matching lowercases
     examples = examples_from([("beat that hoe ass", 1)]) + [Example(text="Hoe that", tokens=("Hoe", "that"), label=1)]
-    vocab = Vocab.build(examples)
+    vocab = Vocab.build(Corpus.from_examples(examples))
     plain = encode_batch(examples, tiny_lexicon, vocab, 6, 6)
     masked = encode_batch(examples, tiny_lexicon, vocab, 6, 6, mask_bias=True)
     assert masked.x_ids[0].tolist() == [vocab.id("beat"), vocab.id("that"), D.UNK_ID, D.UNK_ID]
@@ -297,7 +298,7 @@ def test_encode_mask_bias_replaces_lexicon_tokens_with_unk(tiny_lexicon):
 
 def test_nobias_batch_resets_all_rows(tiny_lexicon):
     examples = examples_from([("beat that hoe ass", 1), ("hello world", 0)])
-    vocab = Vocab.build(examples)
+    vocab = Vocab.build(Corpus.from_examples(examples))
     batch = encode_batch(examples, tiny_lexicon, vocab, 6, 4)
     ref = nobias_batch(batch)
     assert (ref.b_ids[:, 0] == D.NOBIAS_ID).all()

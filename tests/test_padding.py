@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cfdetox import model as M
-from cfdetox.data import EncodedBatch, Example, Vocab, encode_batch, generate_synthetic_corpus
+from cfdetox.data import Corpus, EncodedBatch, Example, Vocab, encode_batch, generate_synthetic_corpus
 from cfdetox.lexicon import Lexicon
 from cfdetox.training import MODE_SPECS, TrainConfig, lmixin_forward, predict_batch, sentence_branch_forward
 from helpers import examples_from
@@ -40,7 +40,7 @@ def _batches():
         ("hoe grax fleeb", 1),
         ("nothing matches at all", 0),
     ]) + [Example(text="...", tokens=(), label=0)]
-    vocab = Vocab.build(corpus + hand)
+    vocab = Vocab.build(Corpus.from_examples(corpus + hand))
     return lexicon, vocab, [encode_batch(corpus[:32], lexicon, vocab, LX, LB),
                             encode_batch(hand, lexicon, vocab, LX, LB)]
 

@@ -13,6 +13,7 @@ from cfdetox.checkpoint import save_params
 from cfdetox.data import (
     NOBIAS_ID,
     RESERVED,
+    Corpus,
     EncodedBatch,
     Example,
     Vocab,
@@ -45,6 +46,11 @@ def small_config(**overrides):
                 mode="ccdf", embed_dim=8)
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def corpora(*splits):
+    """Each list of examples as the corpus ``train`` and ``evaluate`` read."""
+    return [Corpus.from_examples(split) for split in splits]
 
 
 def small_corpus(seed=0, n=48):
@@ -195,7 +201,7 @@ def test_train_is_deterministic(tmp_path):
     valid = train_set[-8:]
     results = []
     for run in range(2):
-        res = train(small_config(), train_set[:-8], valid, lexicon)
+        res = train(small_config(), *corpora(train_set[:-8], valid), lexicon)
         path = tmp_path / f"ck{run}.bin"
         save_params(path, res.params)
         results.append(path.read_bytes())
@@ -205,9 +211,9 @@ def test_train_is_deterministic(tmp_path):
 def test_train_rejects_empty_split():
     train_set, _, lexicon = small_corpus()
     with pytest.raises(ValidationError):
-        train(small_config(), [], train_set[:4], lexicon)
+        train(small_config(), *corpora([], train_set[:4]), lexicon)
     with pytest.raises(ValidationError):
-        train(small_config(), train_set[:4], [], lexicon)
+        train(small_config(), *corpora(train_set[:4], []), lexicon)
 
 
 @pytest.mark.parametrize("eval_every_steps,n_validations", [
@@ -226,7 +232,7 @@ def test_train_selects_first_best_validated_step(monkeypatch, eval_every_steps, 
 
     monkeypatch.setattr(T, "evaluate", counting)
     cfg = small_config(epochs=2, eval_every_steps=eval_every_steps)
-    res = train(cfg, train_set[:-8], train_set[-8:], lexicon)  # 2 epochs of 14 steps
+    res = train(cfg, *corpora(train_set[:-8], train_set[-8:]), lexicon)  # 2 epochs of 14 steps
     last_step = 28
     assert [log.step for log in res.history] == list(range(1, last_step + 1))
     validated = [log for log in res.history if log.step % eval_every_steps == 0 or log.step == last_step]
@@ -250,7 +256,7 @@ def test_train_releases_each_step_graph_before_the_next_forward(monkeypatch):
         return logits
 
     monkeypatch.setattr(T, "mode_forward", recording)
-    res = train(small_config(), train_set[:-8], train_set[-8:], lexicon)
+    res = train(small_config(), *corpora(train_set[:-8], train_set[-8:]), lexicon)
     assert len(fused) == len(res.history) > 1
     assert not any(alive_at_forward)
 
@@ -267,26 +273,26 @@ def test_train_aborts_on_non_finite_loss(monkeypatch):
 
     monkeypatch.setattr(T.M, "init_params", poisoned)
     with pytest.raises(NumericsError, match="step 1"):
-        train(small_config(), train_set[:-8], train_set[-8:], lexicon)
+        train(small_config(), *corpora(train_set[:-8], train_set[-8:]), lexicon)
 
 
 def test_train_masking_mode_masks_training_batches_only(monkeypatch):
     train_set, test_set, lexicon = small_corpus()
     seen_flags = []
-    original = T.encode_batch
+    original = T.CorpusEncoder
 
     def recording(*args, **kwargs):
         seen_flags.append(kwargs.get("mask_bias", False))
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(T, "encode_batch", recording)
+    monkeypatch.setattr(T, "CorpusEncoder", recording)
     cfg = small_config(mode="masking", eval_every_steps=1000)
-    res = train(cfg, train_set[:-8], train_set[-8:], lexicon)
+    res = train(cfg, *corpora(train_set[:-8], train_set[-8:]), lexicon)
     # training batches masked, validation batches (inside evaluate) not
     assert True in seen_flags and False in seen_flags
 
     seen_flags.clear()
-    evaluate(res.params, cfg, test_set, lexicon, res.vocab, "factual")
+    evaluate(res.params, cfg, Corpus.from_examples(test_set), lexicon, res.vocab, "factual")
     assert set(seen_flags) == {False}
 
 
@@ -294,7 +300,7 @@ def test_mode_parameter_sets():
     train_set, _, lexicon = small_corpus()
     for mode, expected_heads in (("ccdf", {"e", "x", "b"}), ("lmixin", {"x", "b"}),
                                  ("vanilla", {"x"}), ("masking", {"x"})):
-        res = train(small_config(mode=mode, epochs=1), train_set[:16], train_set[-8:], lexicon)
+        res = train(small_config(mode=mode, epochs=1), *corpora(train_set[:16], train_set[-8:]), lexicon)
         heads = {n.split(".")[1] for n in res.params if n.startswith("branch.")}
         assert heads == expected_heads
         assert ("const.c_e" in res.params) == (mode == "ccdf")
@@ -307,8 +313,8 @@ def test_mode_parameter_sets():
 def test_evaluate_reports_requested_rule_and_all_rules():
     train_set, test_set, lexicon = small_corpus(n=64)
     cfg = small_config()
-    res = train(cfg, train_set[:-8], train_set[-8:], lexicon)
-    report, _ = evaluate(res.params, cfg, test_set, lexicon, res.vocab, "tie")
+    res = train(cfg, *corpora(train_set[:-8], train_set[-8:]), lexicon)
+    report, _ = evaluate(res.params, cfg, Corpus.from_examples(test_set), lexicon, res.vocab, "tie")
     assert report.inference == "tie"
     assert set(report.by_rule) == {"tie", "te", "factual"}
     assert report.dataset_size == len(test_set)
@@ -318,17 +324,17 @@ def test_evaluate_reports_requested_rule_and_all_rules():
 def test_evaluate_empty_set_is_error(tiny_lexicon):
     train_set, _, lexicon = small_corpus()
     cfg = small_config()
-    res = train(cfg, train_set[:16], train_set[-8:], lexicon)
+    res = train(cfg, *corpora(train_set[:16], train_set[-8:]), lexicon)
     with pytest.raises(ValidationError):
-        evaluate(res.params, cfg, [], lexicon, res.vocab, "tie")
+        evaluate(res.params, cfg, Corpus.from_examples([]), lexicon, res.vocab, "tie")
 
 
 def test_single_branch_checkpoint_rejects_tie_inference():
     train_set, test_set, lexicon = small_corpus()
     cfg = small_config(mode="vanilla")
-    res = train(cfg, train_set[:16], train_set[-8:], lexicon)
+    res = train(cfg, *corpora(train_set[:16], train_set[-8:]), lexicon)
     with pytest.raises(ValidationError, match="requires a ccdf checkpoint"):
-        evaluate(res.params, cfg, test_set, lexicon, res.vocab, "tie")
+        evaluate(res.params, cfg, Corpus.from_examples(test_set), lexicon, res.vocab, "tie")
 
 
 def test_predict_batch_reuses_the_factual_bias_score():
@@ -374,20 +380,20 @@ def test_predict_batch_records_no_graph(monkeypatch, mode):
     pytest.param("vanilla", "tie", "requires a ccdf checkpoint", id="rule-needs-ccdf"),
 ])
 def test_evaluate_rejects_rule_before_encoding(monkeypatch, tiny_params, tiny_lexicon, mode, rule, message):
-    examples = examples_from([("black hoe text", 1), ("plain words", 0)])
+    corpus = Corpus.from_examples(examples_from([("black hoe text", 1), ("plain words", 0)]))
     encoded = []
-    monkeypatch.setattr(T, "encode_batch", lambda *args, **kwargs: encoded.append(args))
+    monkeypatch.setattr(T, "CorpusEncoder", lambda *args, **kwargs: encoded.append(args))
     with pytest.raises(ValidationError, match=message):
-        evaluate(tiny_params, small_config(mode=mode), examples, tiny_lexicon, Vocab.build(examples), rule)
+        evaluate(tiny_params, small_config(mode=mode), corpus, tiny_lexicon, Vocab.build(corpus), rule)
     assert len(encoded) == 0
 
 
 def test_evaluate_records_end_with_sorted_categories(tiny_params, tiny_lexicon):
     # predict_batch returns model output only; evaluate appends the
     # matched lexicon categories as each record's last key
-    examples = examples_from([("black hoe text", 1), ("plain words", 0)])
+    corpus = Corpus.from_examples(examples_from([("black hoe text", 1), ("plain words", 0)]))
     config = small_config(embed_dim=5, hidden=7, lx=6, lb=4)
-    _, records = evaluate(tiny_params, config, examples, tiny_lexicon, Vocab.build(examples), "tie")
+    _, records = evaluate(tiny_params, config, corpus, tiny_lexicon, Vocab.build(corpus), "tie")
     assert [list(r)[-1] for r in records] == ["categories", "categories"]
     assert records[0]["categories"] == ["OnI", "nOI"]
     assert records[1]["categories"] == []
@@ -447,7 +453,7 @@ def test_scoring_one_example_with_a_train_long_sized_model_stays_small(tiny_lexi
     example = Example.from_text(" ".join(words[:110] + ["black"]), 1)
     tracemalloc.start()
     try:
-        evaluate(params, cfg, [example], tiny_lexicon, vocab, "tie")
+        evaluate(params, cfg, Corpus.from_examples([example]), tiny_lexicon, vocab, "tie")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -485,7 +491,7 @@ def test_evaluate_runs_the_mixing_layer_once_per_call(monkeypatch):
     test_set = test_set * 12
     assert len(test_set) > 2 * T.EVAL_BATCH_SIZE
     cfg = small_config()
-    vocab = Vocab.build(train_set)
+    vocab = Vocab.build(Corpus.from_examples(train_set))
     params = M.init_params(cfg.model_config(len(vocab)), np.random.default_rng(3))
     mixing = []
     mix = A.mix
@@ -496,7 +502,7 @@ def test_evaluate_runs_the_mixing_layer_once_per_call(monkeypatch):
         return mix(x, w, b, *args, **kwargs)
 
     monkeypatch.setattr(A, "mix", counting_mix)
-    _, records = evaluate(params, cfg, test_set, lexicon, vocab, "tie")
+    _, records = evaluate(params, cfg, Corpus.from_examples(test_set), lexicon, vocab, "tie")
     assert len(records) == len(test_set)
     assert len(mixing) == 1
 
@@ -507,11 +513,11 @@ def test_evaluate_leaves_the_caller_params_unchanged(mode):
     # save_params or adamw_step
     train_set, test_set, lexicon = small_corpus()
     cfg = small_config(mode=mode)
-    res = train(cfg, train_set[:16], train_set[-8:], lexicon)
+    res = train(cfg, *corpora(train_set[:16], train_set[-8:]), lexicon)
     values = dict(res.params)
     arrays = {name: v.data for name, v in res.params.items()}
     copies = {name: a.copy() for name, a in arrays.items()}
-    evaluate(res.params, cfg, test_set, lexicon, res.vocab, cfg.spec.selection_rule)
+    evaluate(res.params, cfg, Corpus.from_examples(test_set), lexicon, res.vocab, cfg.spec.selection_rule)
     assert M.ENCODED_ROWS not in res.params
     assert res.params == values
     for name, v in res.params.items():
