@@ -19,10 +19,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
-
-import numpy as np
 
 from cfdetox import checkpoint as ckpt
 from cfdetox import data as D
@@ -90,8 +88,6 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="directory with train.jsonl, valid.jsonl, lexicon.csv")
     p.add_argument("--config", help="key=value file; flags override it")
     p.add_argument("--out", help="run directory (default: runs/<timestamp>)")
-    p.add_argument("--runs", type=int, default=1,
-                   help="train N seeds (seed, seed+1, ...) and report mean/s.d. of best validation F1")
     _add_train_flags(p)
     p.set_defaults(func=cmd_train)
 
@@ -192,8 +188,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     print(f"wrote train={len(train)} valid={len(valid)} test_iid={len(test_iid)} "
           f"test_flipped={len(test_flipped)} to {out}/")
     for name, split in (("train", train), ("test_iid", test_iid), ("test_flipped", test_flipped)):
-        toxic = [ex for ex in split if ex.label == 1]
-        with_bias = sum(1 for ex in toxic if D.BIAS_TOKEN in ex.tokens)
+        toxic = [text for text, label in split if label == 1]
+        with_bias = sum(1 for text in toxic if D.BIAS_TOKEN in D.tokenize(text))
         p_bias = f"{with_bias / len(toxic):.3f}" if toxic else "n/a"
         print(f"  {name}: label-1 fraction {len(toxic) / len(split):.3f}, "
               f"P({D.BIAS_TOKEN} | toxic) = {p_bias}")
@@ -201,9 +197,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    examples = D.load_jsonl(args.data)
+    corpus = D.load_jsonl(args.data)
     lexicon = load_lexicon(args.lexicon)
-    rows = D.lexicon_label_stats(examples, lexicon)
+    rows = D.lexicon_label_stats(corpus, lexicon)
     missing = len(lexicon.entries) - len(rows)
     widths = max([len("Token")] + [len(r[0]) for r in rows])
     print(f"{'Token'.ljust(widths)}  {'Toxic':>7}  {'Non-Toxic':>9}  {'Ratio (%)':>9}")
@@ -232,9 +228,12 @@ def _write_loss_csv(path: Path, result: T.TrainResult) -> None:
             )
 
 
-def _train_one(config: TrainConfig, data_dir: Path, run_dir: Path) -> T.TrainResult:
-    train_set = D.read_corpus(data_dir / "train.jsonl")
-    valid_set = D.read_corpus(data_dir / "valid.jsonl")
+def cmd_train(args: argparse.Namespace) -> int:
+    config = resolve_train_config(args)
+    data_dir = Path(args.data)
+    run_dir = _run_dir(args)
+    train_set = D.load_jsonl(data_dir / "train.jsonl")
+    valid_set = D.load_jsonl(data_dir / "valid.jsonl")
     lexicon = load_lexicon(data_dir / "lexicon.csv")
     run_dir.mkdir(parents=True, exist_ok=True)
     _write_config(run_dir / CONFIG_FILE, config)
@@ -245,26 +244,6 @@ def _train_one(config: TrainConfig, data_dir: Path, run_dir: Path) -> T.TrainRes
     best = "n/a" if result.best_val_f1 is None else f"{result.best_val_f1:.4f}"
     print(f"[{run_dir}] best validation F1 {best} at step {result.best_step} "
           f"({len(result.history)} steps, mode={config.mode})")
-    return result
-
-
-def cmd_train(args: argparse.Namespace) -> int:
-    config = resolve_train_config(args)
-    data_dir = Path(args.data)
-    run_dir = _run_dir(args)
-    if args.runs < 1:
-        raise ValidationError(f"--runs must be >= 1, got {args.runs}")
-    replace(config, seed=config.seed + args.runs - 1)  # the last run's seed must be valid too
-    if args.runs == 1:
-        _train_one(config, data_dir, run_dir)
-        return 0
-    scores = []
-    for i in range(args.runs):
-        cfg_i = replace(config, seed=config.seed + i)
-        result = _train_one(cfg_i, data_dir, run_dir / f"run{i:02d}")
-        scores.append(result.best_val_f1 if result.best_val_f1 is not None else 0.0)
-    print(f"best validation F1 over {args.runs} runs: "
-          f"mean {np.mean(scores):.4f}, s.d. {np.std(scores):.4f}")
     return 0
 
 
@@ -302,14 +281,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ValidationError(f"--records and the report are the same file: {out}")
     params, config, vocab = _load_checkpoint(args.checkpoint)
     lexicon = load_lexicon(args.lexicon)
-    corpus = D.read_corpus(args.data)
+    corpus = D.load_jsonl(args.data)
     if not len(corpus):
         raise ValidationError(f"dataset {args.data} is empty")
     report, records = T.evaluate(params, config, corpus, lexicon, vocab, args.inference)
     payload = asdict(report)
     ood_report = None
     if args.ood_data:
-        ood_corpus = D.read_corpus(args.ood_data)
+        ood_corpus = D.load_jsonl(args.ood_data)
         if not len(ood_corpus):
             raise ValidationError(f"dataset {args.ood_data} is empty")
         ood_report, _ = T.evaluate(params, config, ood_corpus, lexicon, vocab, args.inference)
@@ -333,7 +312,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
     corpus = D.Corpus.from_sentences([(D.tokenize(args.text), 0)])
     encoder = D.CorpusEncoder(corpus, lexicon, vocab, config.lx, config.lb)
     matched = encoder.matches(0)
-    record = T.predict_batch(params, encoder.batch([0]), config.spec)[0]
+    record = T.predict_batch(params, D.encode_batch(encoder, [0]), config.spec)[0]
     record["categories"] = sorted(matched.categories)
     record["text"] = args.text
     record["biased_tokens"] = [

@@ -5,7 +5,6 @@ correlation for desk-scale experiments."""
 from __future__ import annotations
 
 import json
-import sys
 import unicodedata
 from array import array
 from collections import defaultdict
@@ -40,28 +39,12 @@ def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace, strip edge punctuation, drop empties.
 
     Punctuation inside a token survives, so "f*ck" and "don't" stay intact;
-    only leading/trailing punctuation is removed.  Tokens are interned, so
-    a corpus holds one string per distinct token.
+    only leading/trailing punctuation is removed.
     """
     pieces = text.lower().split()
     if not "".join(pieces).isalnum():  # all-alphanumeric pieces have no edge to strip
         pieces = [s for s in map(_strip_edge_punct, pieces) if s]
-    return list(map(sys.intern, pieces))
-
-
-@dataclass(frozen=True)
-class Example:
-    """One labeled sentence; ``tokens`` is the tokenization of ``text``."""
-
-    text: str
-    tokens: tuple[str, ...]
-    label: int
-
-    @classmethod
-    def from_text(cls, text: str, label: int) -> "Example":
-        if label not in (0, 1):
-            raise ValidationError(f"label must be 0 or 1, got {label!r}")
-        return cls(text=text, tokens=tuple(tokenize(text)), label=label)
+    return pieces
 
 
 def _records(path: Path) -> Iterator[tuple[str, int]]:
@@ -86,15 +69,17 @@ def _records(path: Path) -> Iterator[tuple[str, int]]:
         yield text, label
 
 
-def load_jsonl(path: str | Path) -> list[Example]:
-    """Read one ``{"text": ..., "label": 0|1}`` object per line, in order."""
-    return [Example.from_text(text, label) for text, label in _records(Path(path))]
+def load_jsonl(path: str | Path) -> Corpus:
+    """Read one ``{"text": ..., "label": 0|1}`` object per line, in order,
+    as a Corpus of the tokenized texts."""
+    return Corpus.from_sentences((tokenize(text), label) for text, label in _records(Path(path)))
 
 
-def save_jsonl(path: str | Path, examples: Iterable[Example]) -> None:
+def save_jsonl(path: str | Path, records: Iterable[tuple[str, int]]) -> None:
+    """Write (text, label) records, one ``{"text": ..., "label": ...}`` object per line."""
     with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(json.dumps({"text": ex.text, "label": ex.label}) + "\n")
+        for text, label in records:
+            fh.write(json.dumps({"text": text, "label": label}) + "\n")
 
 
 @dataclass
@@ -142,7 +127,7 @@ class Vocab:
 class EncodedBatch:
     """Padded id matrices and labels; the masks are read off the ids, 1 exactly off-pad.
 
-    ``encode_batch`` makes each matrix as wide as its longest row.
+    :func:`encode_batch` makes each matrix as wide as its longest row.
     """
 
     x_ids: np.ndarray  # int64 [batch, Lx]
@@ -197,18 +182,9 @@ class Corpus:
         return cls(tuple(table), counts, flat, np.frombuffer(offsets, dtype=np.int64),
                    np.frombuffer(labels, dtype=np.int64))
 
-    @classmethod
-    def from_examples(cls, examples: Iterable[Example]) -> "Corpus":
-        return cls.from_sentences((ex.tokens, ex.label) for ex in examples)
-
-
-def read_corpus(path: str | Path) -> Corpus:
-    """The split at ``path`` as a Corpus, with ``load_jsonl``'s parsing and errors; no Example is built."""
-    return Corpus.from_sentences((tokenize(text), label) for text, label in _records(Path(path)))
-
 
 class CorpusEncoder:
-    """Batches of a corpus's rows, as ``encode_batch`` encodes them.
+    """A corpus's per-table lookups, from which :func:`encode_batch` gathers batches.
 
     Each table token's lexicon match, sentence id and bias id are looked
     up once, here; a batch gathers its rows from them, so it costs what
@@ -223,27 +199,14 @@ class CorpusEncoder:
         self.max_sentence_len, self.max_bias_len = max_sentence_len, max_bias_len
         # each table token's matched surface and bias id; None and -1 where it matches nothing
         self._surfaces = [s if s in lexicon.entries else None for s in map(str.lower, corpus.tokens)]
-        self._bias_ids = np.array([-1 if s is None else vocab.id(s) for s in self._surfaces], dtype=np.int64)
-        self._x_ids = np.array([UNK_ID if mask_bias and s is not None else vocab.id(t)
-                                for t, s in zip(corpus.tokens, self._surfaces)], dtype=np.int64)
-
-    def batch(self, rows: Sequence[int]) -> EncodedBatch:
-        """The encoded batch of corpus rows ``rows``, in that order."""
-        x_rows, b_rows = [], []
-        for i in rows:
-            sentence = self.corpus.sentence(i)
-            x_rows.append(self._x_ids[sentence[: self.max_sentence_len]] if len(sentence) else [UNK_ID])
-            matched = self._bias_ids[sentence]
-            matched = matched[matched != -1]
-            interleaved = np.full(max(2 * len(matched) - 1, 1), SEP_ID if len(matched) else NOBIAS_ID)
-            interleaved[: 2 * len(matched) : 2] = matched
-            b_rows.append(interleaved[: self.max_bias_len])
-        return EncodedBatch(_pad_rows(x_rows), _pad_rows(b_rows), self.corpus.labels[np.asarray(rows, dtype=np.intp)])
+        self.bias_ids = np.array([-1 if s is None else vocab.id(s) for s in self._surfaces], dtype=np.int64)
+        self.x_ids = np.array([UNK_ID if mask_bias and s is not None else vocab.id(t)
+                               for t, s in zip(corpus.tokens, self._surfaces)], dtype=np.int64)
 
     def matches(self, i: int) -> BiasedTokenSet:
         """Row ``i``'s ``match_biased_tokens``, read off the lookups that give its bias ids."""
         sentence = self.corpus.sentence(i)
-        surfaces = tuple(self._surfaces[t] for t in sentence[self._bias_ids[sentence] != -1].tolist())
+        surfaces = tuple(self._surfaces[t] for t in sentence[self.bias_ids[sentence] != -1].tolist())
         return BiasedTokenSet(surfaces, frozenset(map(self.lexicon.category, surfaces)))
 
 
@@ -255,9 +218,8 @@ def _pad_rows(rows: Sequence[Sequence[int]]) -> np.ndarray:
     return ids
 
 
-def encode_batch(examples: Sequence[Example], lexicon: Lexicon, vocab: Vocab,
-                 max_sentence_len: int, max_bias_len: int, mask_bias: bool = False) -> EncodedBatch:
-    """Build (x_ids, b_ids, labels) for a list of examples.
+def encode_batch(encoder: CorpusEncoder, rows: Sequence[int]) -> EncodedBatch:
+    """(x_ids, b_ids, labels) of the encoder's corpus rows ``rows``, in that order.
 
     Sentences are truncated to ``max_sentence_len`` ids and bias sequences
     to ``max_bias_len``; each matrix is then padded to its longest row.
@@ -267,9 +229,16 @@ def encode_batch(examples: Sequence[Example], lexicon: Lexicon, vocab: Vocab,
     With ``mask_bias`` the sentence ids of matched tokens are replaced by
     UNK (training-time masking mode); the bias sequence is unaffected.
     """
-    corpus = Corpus.from_examples(examples)
-    encoder = CorpusEncoder(corpus, lexicon, vocab, max_sentence_len, max_bias_len, mask_bias)
-    return encoder.batch(range(len(corpus)))
+    x_rows, b_rows = [], []
+    for i in rows:
+        sentence = encoder.corpus.sentence(i)
+        x_rows.append(encoder.x_ids[sentence[: encoder.max_sentence_len]] if len(sentence) else [UNK_ID])
+        matched = encoder.bias_ids[sentence]
+        matched = matched[matched != -1]
+        interleaved = np.full(max(2 * len(matched) - 1, 1), SEP_ID if len(matched) else NOBIAS_ID)
+        interleaved[: 2 * len(matched) : 2] = matched
+        b_rows.append(interleaved[: encoder.max_bias_len])
+    return EncodedBatch(_pad_rows(x_rows), _pad_rows(b_rows), encoder.corpus.labels[np.asarray(rows, dtype=np.intp)])
 
 
 def nobias_batch(batch: EncodedBatch) -> EncodedBatch:
@@ -280,17 +249,18 @@ def nobias_batch(batch: EncodedBatch) -> EncodedBatch:
     return EncodedBatch(x_ids=batch.x_ids, b_ids=_pad_rows([[NOBIAS_ID]] * len(batch.labels)), labels=batch.labels)
 
 
-def lexicon_label_stats(examples: Sequence[Example], lexicon: Lexicon) -> list[tuple[str, int, int, float]]:
+def lexicon_label_stats(corpus: Corpus, lexicon: Lexicon) -> list[tuple[str, int, int, float]]:
     """(surface, toxic, non-toxic, toxic percent) per lexicon surface that
     occurs, by surface.
 
-    Counts examples, not occurrences: each example is matched once and
+    Counts sentences, not occurrences: each sentence is matched once and
     each surface it matches counts once for its label.
     """
     counts: dict[str, list[int]] = {}
-    for ex in examples:
-        for surface in set(match_biased_tokens(ex.tokens, lexicon).tokens):
-            counts.setdefault(surface, [0, 0])[ex.label] += 1
+    for i, label in enumerate(corpus.labels.tolist()):
+        tokens = [corpus.tokens[t] for t in corpus.sentence(i).tolist()]
+        for surface in set(match_biased_tokens(tokens, lexicon).tokens):
+            counts.setdefault(surface, [0, 0])[label] += 1
     return [(s, toxic, nontoxic, 100.0 * toxic / (toxic + nontoxic))
             for s, (nontoxic, toxic) in sorted(counts.items())]
 
@@ -320,11 +290,11 @@ def synthetic_lexicon() -> Lexicon:
     return Lexicon(entries)
 
 
-def _make_split(rng: np.random.Generator, n: int, bias_given_toxic: float) -> list[Example]:
+def _make_split(rng: np.random.Generator, n: int, bias_given_toxic: float) -> list[tuple[str, int]]:
     labels = np.zeros(n, dtype=np.int64)
     labels[: n // 2] = 1
     rng.shuffle(labels)
-    examples = []
+    records = []
     for label in labels:
         words = list(rng.choice(FILLER, size=rng.integers(FILLER_COUNT[0], FILLER_COUNT[1] + 1)))
         group = TOXIC_CONTEXT if label == 1 else CALM_CONTEXT
@@ -336,8 +306,8 @@ def _make_split(rng: np.random.Generator, n: int, bias_given_toxic: float) -> li
             if rng.random() < NEUTRAL_BIAS_RATE:
                 words.append(tok)
         rng.shuffle(words)
-        examples.append(Example.from_text(" ".join(words), int(label)))
-    return examples
+        records.append((" ".join(words), int(label)))
+    return records
 
 
 def generate_synthetic_corpus(
@@ -345,14 +315,15 @@ def generate_synthetic_corpus(
     n_train: int,
     n_test: int,
     spurious_rate: float,
-) -> tuple[list[Example], list[Example], list[Example]]:
+) -> tuple[list[tuple[str, int]], list[tuple[str, int]], list[tuple[str, int]]]:
     """Deterministic corpus with an engineered bias-token correlation.
 
     Labels follow a hidden context pattern (one token group appears only in
     toxic sentences, another only in calm ones).  The designated bias token
     co-occurs with label 1 at ``spurious_rate`` in train and test_iid and at
     ``1 - spurious_rate`` in test_flipped, making the flipped split
-    bias-conflicting.  Returns (train, test_iid, test_flipped).
+    bias-conflicting.  Returns (train, test_iid, test_flipped), each a list
+    of (text, label) records.
     """
     if not 0.5 <= spurious_rate <= 1.0:
         raise ValidationError(f"spurious_rate must be in [0.5, 1.0], got {spurious_rate}")

@@ -24,10 +24,10 @@ import numpy as np
 from cfdetox import autodiff as A
 from cfdetox import model as M
 from cfdetox.autodiff import Value
-# unused here, encode_batch and match_biased_tokens stay for perfbench/tracer.py to patch
 from cfdetox.data import NOBIAS_ID, Corpus, CorpusEncoder, EncodedBatch, Vocab, encode_batch, nobias_batch
 from cfdetox.effects import argmax_label, inference_records
 from cfdetox.errors import ContractError, DomainError, NumericsError, ValidationError, VocabularyError
+# unused here, match_biased_tokens stays for perfbench/tracer.py to patch
 from cfdetox.lexicon import Lexicon, match_biased_tokens
 from cfdetox.metrics import Confusion, EvalReport, accuracy, build_report, f1_binary
 from cfdetox.model import DropoutCtx, ModelConfig, ScenarioLogits
@@ -298,7 +298,7 @@ def evaluate(
         raise ValidationError("cannot evaluate an empty dataset")
     encoder = CorpusEncoder(corpus, lexicon, vocab, config.lx, config.lb)
     chunks = [range(*span) for span in _spans(len(corpus), EVAL_BATCH_SIZE, 1)]
-    batches = [encoder.batch(chunk) for chunk in chunks]
+    batches = [encode_batch(encoder, chunk) for chunk in chunks]
     scoring = scoring_params(params, batches)
     records: list[dict] = []
     for chunk, batch in zip(chunks, batches):
@@ -342,21 +342,26 @@ def _train_step(
     config: TrainConfig, params: dict[str, Value], opt: AdamWState, batch: EncodedBatch, step: int
 ) -> dict[str, float]:
     """One optimizer step on ``batch``; returns its loss terms.  The step's
-    graph dies with this frame, so no two steps' graphs are held at once."""
+    graph dies with this frame, so no two steps' graphs are held at once.
+
+    Overflow and invalid operations raise no numpy warning: a step that
+    diverges is reported once, as the NumericsError of a finite check.
+    """
     spec = config.spec
     drop = DropoutCtx(config.dropout, config.seed, step) if config.dropout > 0 else None
-    try:
-        logits = mode_forward(spec, params, batch, drop)
-        terms = loss_terms(logits, batch.labels)
-        loss = _sum_terms(terms)
-        if spec.invariant_responses:
-            loss = A.add(loss, invariant_response_loss(logits, params, batch.labels))
-    except DomainError as exc:
-        raise NumericsError(f"non-finite values in the forward pass at step {step}: {exc}") from exc
-    if not np.isfinite(loss.data):
-        raise NumericsError(f"non-finite loss at step {step}")
-    A.backward(loss)
-    adamw_step(params, opt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            logits = mode_forward(spec, params, batch, drop)
+            terms = loss_terms(logits, batch.labels)
+            loss = _sum_terms(terms)
+            if spec.invariant_responses:
+                loss = A.add(loss, invariant_response_loss(logits, params, batch.labels))
+        except DomainError as exc:
+            raise NumericsError(f"non-finite values in the forward pass at step {step}: {exc}") from exc
+        if not np.isfinite(loss.data):
+            raise NumericsError(f"non-finite loss at step {step}")
+        A.backward(loss)
+        adamw_step(params, opt)
     A.zero_grads(params.values())
     return {k: float(v.data) for k, v in terms.items()}
 
@@ -408,7 +413,7 @@ def train(
         order = shuffle_rng.permutation(len(train_set))
         for start in range(0, len(order), config.batch_size):
             step += 1
-            batch = encoder.batch(order[start : start + config.batch_size])
+            batch = encode_batch(encoder, order[start : start + config.batch_size])
             log = StepLog(step=step, losses=_train_step(config, params, opt, batch, step))
             if step % config.eval_every_steps == 0 or step == last_step:
                 report, _ = evaluate(params, config, valid_set, lexicon, vocab, spec.selection_rule)

@@ -16,10 +16,12 @@ from cfdetox.data import (
     UNK,
     UNK_ID,
     Corpus,
+    CorpusEncoder,
     EncodedBatch,
-    Example,
     Vocab,
+    encode_batch,
     nobias_batch,
+    tokenize,
 )
 from cfdetox.effects import EffectBundle, effects
 from cfdetox.errors import ValidationError
@@ -83,19 +85,34 @@ def backprop_chain(out: Value, g: np.ndarray) -> None:
         node = node._parents[0]
 
 
-def examples_from(texts_labels) -> list[Example]:
-    return [Example.from_text(t, y) for t, y in texts_labels]
+def sentences_from(texts_labels) -> list[tuple[list[str], int]]:
+    """(tokens, label) of each (text, label) record."""
+    return [(tokenize(t), y) for t, y in texts_labels]
 
 
 def corpus_from(texts_labels) -> Corpus:
-    return Corpus.from_examples(examples_from(texts_labels))
+    """(text, label) records as the corpus ``load_jsonl`` reads them."""
+    return Corpus.from_sentences(sentences_from(texts_labels))
 
 
-def vocab_build_reference(examples: Iterable[Example]) -> Vocab:
+def sentences_of(corpus: Corpus) -> list[tuple[list[str], int]]:
+    """(tokens, label) of each sentence of ``corpus``, in order."""
+    return [([corpus.tokens[t] for t in corpus.sentence(i).tolist()], label)
+            for i, label in enumerate(corpus.labels.tolist())]
+
+
+def encode_all(corpus: Corpus, lexicon: Lexicon, vocab: Vocab, max_sentence_len: int, max_bias_len: int,
+               mask_bias: bool = False) -> EncodedBatch:
+    """One batch of every row of ``corpus``, in order."""
+    encoder = CorpusEncoder(corpus, lexicon, vocab, max_sentence_len, max_bias_len, mask_bias)
+    return encode_batch(encoder, range(len(corpus)))
+
+
+def vocab_build_reference(sentences: Iterable[tuple[Sequence[str], int]]) -> Vocab:
     """``Vocab.build`` as it was before it read a corpus's token counts."""
     counts = Counter()
-    for ex in examples:
-        counts.update(ex.tokens)
+    for tokens, _ in sentences:
+        counts.update(tokens)
     for reserved in RESERVED:
         counts.pop(reserved, None)
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -110,7 +127,7 @@ def _pad_rows_reference(rows: Sequence[Sequence[int]]) -> np.ndarray:
 
 
 def encode_batch_reference(
-    examples: Sequence[Example],
+    sentences: Sequence[tuple[Sequence[str], int]],
     lexicon: Lexicon,
     vocab: Vocab,
     max_sentence_len: int,
@@ -118,14 +135,14 @@ def encode_batch_reference(
     mask_bias: bool = False,
 ) -> EncodedBatch:
     """``encode_batch`` as it was before batches were gathered from a
-    corpus: each example matched and looked up token by token."""
+    corpus: each (tokens, label) pair matched and looked up token by token."""
     if max_sentence_len < 1 or max_bias_len < 1:
         raise ValidationError("maximum lengths must be >= 1")
     x_rows: list[list[int]] = []
     b_rows: list[list[int]] = []
-    for ex in examples:
-        matched = match_biased_tokens(ex.tokens, lexicon).tokens
-        tokens = ex.tokens[:max_sentence_len]
+    for sentence, _ in sentences:
+        matched = match_biased_tokens(sentence, lexicon).tokens
+        tokens = sentence[:max_sentence_len]
         if mask_bias:
             tokens = tuple(UNK if t.lower() in matched else t for t in tokens)
         x_rows.append([vocab.id(t) for t in tokens] or [UNK_ID])
@@ -135,7 +152,7 @@ def encode_batch_reference(
                 interleaved.append(SEP_ID)
             interleaved.append(vocab.id(tok))
         b_rows.append(interleaved[:max_bias_len] or [NOBIAS_ID])
-    labels = np.array([ex.label for ex in examples], dtype=np.int64)
+    labels = np.array([label for _, label in sentences], dtype=np.int64)
     return EncodedBatch(x_ids=_pad_rows_reference(x_rows), b_ids=_pad_rows_reference(b_rows), labels=labels)
 
 

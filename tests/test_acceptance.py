@@ -19,10 +19,10 @@ from cfdetox import effects as E
 from cfdetox import model as M
 from cfdetox import training as T
 from cfdetox.cli import main
-from cfdetox.data import encode_batch
+from cfdetox.data import CorpusEncoder, encode_batch
 from cfdetox.lexicon import load_lexicon, match_biased_tokens
 from cfdetox.metrics import Confusion, accuracy, f1_binary, fpr
-from helpers import ccdf_scenarios, gradcheck, graph_effects, harmonic_fusion, make_batch, total_loss
+from helpers import ccdf_scenarios, gradcheck, graph_effects, harmonic_fusion, make_batch, sentences_of, total_loss
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -84,11 +84,13 @@ def test_nobias_neutrality(experiment):
     lexicon = load_lexicon(experiment["data_dir"] / "lexicon.csv")
     checked = mismatches = 0
     for split in ("test_iid.jsonl", "test_flipped.jsonl"):
-        examples = D.load_jsonl(experiment["data_dir"] / split)
-        empty_b = [ex for ex in examples if not match_biased_tokens(ex.tokens, lexicon).tokens]
+        corpus = D.load_jsonl(experiment["data_dir"] / split)
+        encoder = CorpusEncoder(corpus, lexicon, vocab, config.lx, config.lb)
+        empty_b = [i for i, (tokens, _) in enumerate(sentences_of(corpus))
+                   if not match_biased_tokens(tokens, lexicon).tokens]
         for start in range(0, len(empty_b), 64):
             chunk = empty_b[start : start + 64]
-            batch = encode_batch(chunk, lexicon, vocab, config.lx, config.lb)
+            batch = encode_batch(encoder, chunk)
             records = T.predict_batch(params, batch, config.spec)
             checked += len(records)
             mismatches += sum(1 for r in records if r["tie_label"] != r["te_label"])

@@ -17,11 +17,11 @@ from cfdetox import data as D
 from cfdetox import training as T
 from cfdetox.checkpoint import load_arrays, save_arrays
 from cfdetox.cli import _load_checkpoint, _parse_config_file, main
-from cfdetox.data import SEP_ID, UNK_ID, Vocab, encode_batch, load_jsonl
+from cfdetox.data import SEP_ID, UNK_ID, CorpusEncoder, Vocab, encode_batch, load_jsonl
 from cfdetox.errors import CfDetoxError
 from cfdetox.lexicon import Lexicon, load_lexicon, match_biased_tokens
 from cfdetox.metrics import Confusion
-from helpers import checkpoint_bytes
+from helpers import checkpoint_bytes, sentences_of
 
 
 @pytest.fixture(scope="module")
@@ -255,13 +255,13 @@ def test_eval_per_example_records(run_dir, corpus_dir, tmp_path):
     # the file holds exactly the records a batch-by-batch predict_batch sweep gives
     params, config, vocab = _load_checkpoint(str(run_dir / "model.bin"))
     lexicon = load_lexicon(corpus_dir / "lexicon.csv")
-    examples = load_jsonl(corpus_dir / "test_iid.jsonl")
+    corpus = load_jsonl(corpus_dir / "test_iid.jsonl")
+    encoder, sentences = CorpusEncoder(corpus, lexicon, vocab, config.lx, config.lb), sentences_of(corpus)
     expected = []
-    for start in range(0, len(examples), T.EVAL_BATCH_SIZE):
-        chunk = examples[start : start + T.EVAL_BATCH_SIZE]
-        batch = encode_batch(chunk, lexicon, vocab, config.lx, config.lb)
-        for r, ex in zip(T.predict_batch(params, batch, config.spec), chunk):
-            r["categories"] = sorted(match_biased_tokens(ex.tokens, lexicon).categories)
+    for start in range(0, len(corpus), T.EVAL_BATCH_SIZE):
+        chunk = range(start, min(start + T.EVAL_BATCH_SIZE, len(corpus)))
+        for r, i in zip(T.predict_batch(params, encode_batch(encoder, chunk), config.spec), chunk):
+            r["categories"] = sorted(match_biased_tokens(sentences[i][0], lexicon).categories)
             expected.append(json.dumps(r) + "\n")
     assert records_path.read_text(encoding="utf-8") == "".join(expected)
 
@@ -278,7 +278,7 @@ def test_baseline_checkpoint_scores_through_eval_records_and_infer(corpus_dir, t
                  "--records", str(records_path), "--out", str(report_path)]) == 0
     records = [json.loads(line) for line in records_path.read_text(encoding="utf-8").splitlines()]
     assert [list(r) for r in records] == [["factual_label", "categories"]] * 40
-    labels = [ex.label for ex in load_jsonl(corpus_dir / "test_iid.jsonl")]
+    labels = load_jsonl(corpus_dir / "test_iid.jsonl").labels.tolist()
     confusion = Confusion.from_pairs([r["factual_label"] for r in records], labels)
     assert json.loads(report_path.read_text(encoding="utf-8"))["confusion"] == asdict(confusion)
     capsys.readouterr()
@@ -517,18 +517,6 @@ def test_help_lists_defaults(capsys):
         assert needle in out, needle
 
 
-def test_runs_aggregator(corpus_dir, tmp_path, capsys):
-    out = tmp_path / "multi"
-    rc = main(["train", "--data", str(corpus_dir), "--out", str(out), "--runs", "2",
-               "--epochs", "1", "--batch-size", "4", "--hidden", "8", "--embed-dim", "8",
-               "--lx", "12", "--lb", "4", "--eval-every-steps", "50", "--seed", "5"])
-    assert rc == 0
-    assert (out / "run00" / "model.bin").exists()
-    assert (out / "run01" / "model.bin").exists()
-    text = capsys.readouterr().out
-    assert "mean" in text and "s.d." in text
-
-
 # ---------------------------------------------------------------------------
 # text loaders: bad bytes and seeds are one-line validation errors
 # ---------------------------------------------------------------------------
@@ -604,7 +592,6 @@ def test_train_non_utf8_config_file_names_file_and_line(corpus_dir, tmp_path, ca
 @pytest.mark.parametrize("argv", [
     ["--seed", "-1"],
     ["--seed", str(2**64)],  # the dropout key seed << 64 would leave 128 bits
-    ["--seed", str(2**64 - 2), "--runs", "3"],  # the last run's seed is 2**64
 ])
 def test_train_rejects_out_of_range_seed_before_writing(corpus_dir, tmp_path, capsys, argv):
     out = tmp_path / "run"
@@ -666,12 +653,19 @@ def test_text_loaders_return_or_raise_package_errors(fuzz_dir, loader, blob):
 # ---------------------------------------------------------------------------
 
 def test_train_reads_no_example(corpus_dir, tmp_path, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("training must read its splits straight into corpora")
+    # a split has one in-memory form: load_jsonl reads it once, straight into a corpus
+    assert not hasattr(D, "Example")
+    read = []
+    load = D.load_jsonl
 
-    monkeypatch.setattr(D, "load_jsonl", refuse)
-    monkeypatch.setattr(D.Example, "from_text", refuse)
+    def recording(path):
+        corpus = load(path)
+        read.append((Path(path).name, type(corpus)))
+        return corpus
+
+    monkeypatch.setattr(D, "load_jsonl", recording)
     assert main(["train", "--data", str(corpus_dir), "--out", str(tmp_path / "run"), *TINY_TRAIN]) == 0
+    assert read == [("train.jsonl", D.Corpus), ("valid.jsonl", D.Corpus)]
 
 
 def _split_dir(corpus_dir, out, split, content):
@@ -706,6 +700,16 @@ def test_train_non_finite_loss_exits_3(corpus_dir, tmp_path, capsys, monkeypatch
     monkeypatch.setattr(T.M, "init_params", poisoned)
     assert main(["train", "--data", str(corpus_dir), "--out", str(tmp_path / "run"), *TINY_TRAIN]) == 3
     _assert_one_line_error(capsys, "non-finite")
+
+
+def test_train_that_diverges_prints_only_its_one_line_error(tmp_path):
+    # overflow in the forward pass and in AdamW's update warns nothing: the
+    # finite checks report the divergence, once
+    assert main(["gen", "--seed", "3", "--n-train", "120", "--n-test", "30", "--out", str(tmp_path / "d")]) == 0
+    proc = _run_cli("train", "--data", "d", "--out", "run", "--learning-rate", "1e300", cwd=tmp_path)
+    assert proc.returncode == 3
+    assert proc.stderr == ("error: non-finite values in the forward pass at step 3: "
+                           "softmax input contains non-finite entries\n")
 
 
 @pytest.mark.parametrize("content, code, needle", [
@@ -753,3 +757,33 @@ def test_infer_looks_each_token_up_once(run_dir, corpus_dir, monkeypatch, capsys
     zorp, grax = vocab.id("zorp"), vocab.id("grax")
     assert batches[0].b_ids.tolist() == [[zorp, SEP_ID, zorp, SEP_ID]]  # lb 4 keeps four of five
     assert grax != UNK_ID
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's tracer sees the functions it patches called
+# ---------------------------------------------------------------------------
+
+def _traced_cli(*argv, cwd):
+    """(span names, counters) of one CLI call under perfbench/tracer.py."""
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    env = dict(os.environ, PYTHONPATH=str(Path(cfdetox.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, str(tracer), str(cwd / "spans"), "--", *argv],
+                          cwd=cwd, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    meta = json.loads((cwd / "spans.json").read_text(encoding="utf-8"))
+    spans = np.load(cwd / "spans.npy")
+    return {meta["names"][i] for i in spans[:, 0].tolist()}, meta["counters"]
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_traced_batches_and_reads_are_seen(run_dir, corpus_dir, tmp_path, command):
+    # every batch comes from data.encode_batch and every split from
+    # data.load_jsonl, the names the tracer patches
+    if command == "train":
+        argv = ["train", "--data", str(corpus_dir), "--out", str(tmp_path / "run"), *TINY_TRAIN]
+    else:
+        argv = ["eval", "--checkpoint", str(run_dir / "model.bin"), "--data", str(corpus_dir / "test_iid.jsonl"),
+                "--lexicon", str(corpus_dir / "lexicon.csv"), "--out", str(tmp_path / "report.json")]
+    names, counters = _traced_cli(*argv, cwd=tmp_path)
+    assert {"data.encode_batch", "data.load_jsonl"} <= names
+    assert counters.get("data.x_slots", 0) > 0

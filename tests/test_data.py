@@ -10,10 +10,7 @@ from hypothesis import strategies as st
 from cfdetox import data as D
 from cfdetox.data import (
     Corpus,
-    EncodedBatch,
-    Example,
     Vocab,
-    encode_batch,
     generate_synthetic_corpus,
     lexicon_label_stats,
     load_jsonl,
@@ -23,7 +20,7 @@ from cfdetox.data import (
 )
 from cfdetox.errors import ParseError, ValidationError
 from cfdetox.lexicon import Lexicon
-from helpers import corpus_from, examples_from
+from helpers import corpus_from, encode_all, sentences_from, sentences_of
 
 BOM = "\ufeff"
 
@@ -94,7 +91,6 @@ _PIECE = st.builds("".join, st.lists(st.one_of(
 def test_tokenize_fast_path_agrees_with_category_scan(text):
     tokens = tokenize(text)
     assert tokens == [t for t in map(_strip_by_category, text.lower().split()) if t]
-    assert all(t is sys.intern(t) for t in tokens)  # one string per distinct token
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +100,10 @@ def test_tokenize_fast_path_agrees_with_category_scan(text):
 def test_load_jsonl_minimal(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text('{"text": "hi", "label": 0}\n', encoding="utf-8")
-    examples = load_jsonl(path)
-    assert examples == [Example(text="hi", tokens=("hi",), label=0)]
+    corpus = load_jsonl(path)
+    assert corpus.tokens == ("hi",)
+    assert corpus.counts.tolist() == [1]
+    assert sentences_of(corpus) == [(["hi"], 0)]
 
 
 def test_load_jsonl_holds_one_string_per_distinct_token(tmp_path):
@@ -113,19 +111,18 @@ def test_load_jsonl_holds_one_string_per_distinct_token(tmp_path):
     rows = [{"text": "The hoe, the HOE!", "label": 1}, {"text": "\"hoe\" and the zorp", "label": 0},
             {"text": "zorp... the ZORP zorp", "label": 1}]
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
-    first: dict[str, str] = {}
-    for ex in load_jsonl(path):
-        for token in ex.tokens:
-            assert first.setdefault(token, token) is token
-    assert sorted(first) == ["and", "hoe", "the", "zorp"]
+    corpus = load_jsonl(path)
+    # the table lists each distinct token once and every occurrence is an index into it
+    assert corpus.tokens == ("the", "hoe", "and", "zorp")
+    assert corpus.counts.tolist() == [4, 3, 1, 4]
+    assert [corpus.tokens[i] for i in corpus.ids] == [t for r in rows for t in tokenize(r["text"])]
 
 
 def test_load_jsonl_preserves_order(tmp_path):
     path = tmp_path / "d.jsonl"
     rows = [{"text": f"t {i}", "label": i % 2} for i in range(3)]
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
-    examples = load_jsonl(path)
-    assert [ex.text for ex in examples] == ["t 0", "t 1", "t 2"]
+    assert sentences_of(load_jsonl(path)) == [(["t", "0"], 0), (["t", "1"], 1), (["t", "2"], 0)]
 
 
 def test_load_jsonl_bad_label_names_line(tmp_path):
@@ -152,7 +149,7 @@ def test_load_jsonl_bool_label_rejected(tmp_path):
 def test_load_jsonl_skips_leading_byte_order_mark(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text(BOM + '{"text": "a", "label": 0}\n', encoding="utf-8")
-    assert load_jsonl(path) == examples_from([("a", 0)])
+    assert sentences_of(load_jsonl(path)) == [(["a"], 0)]
     # only byte 0 is skipped: a BOM further on is content
     path.write_text('{"text": "a", "label": 0}\n' + BOM + '{"text": "b", "label": 1}\n', encoding="utf-8")
     with pytest.raises(ParseError, match=":2:.*BOM"):
@@ -160,10 +157,11 @@ def test_load_jsonl_skips_leading_byte_order_mark(tmp_path):
 
 
 def test_jsonl_round_trip(tmp_path):
-    examples = examples_from([("a b", 0), ("c", 1)])
+    records = [("a b", 0), ("c", 1)]
     path = tmp_path / "d.jsonl"
-    save_jsonl(path, examples)
-    assert load_jsonl(path) == examples
+    save_jsonl(path, records)
+    assert path.read_text(encoding="utf-8") == '{"text": "a b", "label": 0}\n{"text": "c", "label": 1}\n'
+    assert sentences_of(load_jsonl(path)) == sentences_from(records)
 
 
 # ---------------------------------------------------------------------------
@@ -203,27 +201,27 @@ def test_vocab_load_skips_leading_byte_order_mark(tmp_path):
 
 
 def test_encode_interleaves_separator(tiny_lexicon):
-    examples = examples_from([("beat that hoe ass", 1)])
-    vocab = Vocab.build(Corpus.from_examples(examples))
-    batch = encode_batch(examples, tiny_lexicon, vocab, max_sentence_len=8, max_bias_len=5)
+    corpus = corpus_from([("beat that hoe ass", 1)])
+    vocab = Vocab.build(corpus)
+    batch = encode_all(corpus, tiny_lexicon, vocab, max_sentence_len=8, max_bias_len=5)
     expected = [vocab.id("hoe"), D.SEP_ID, vocab.id("ass")]
     assert batch.b_ids[0].tolist() == expected
     assert batch.b_mask[0].tolist() == [1, 1, 1]
 
 
 def test_encode_empty_bias_uses_nobias(tiny_lexicon):
-    examples = examples_from([("hello world", 0)])
-    vocab = Vocab.build(Corpus.from_examples(examples))
-    batch = encode_batch(examples, tiny_lexicon, vocab, 8, 4)
+    corpus = corpus_from([("hello world", 0)])
+    vocab = Vocab.build(corpus)
+    batch = encode_all(corpus, tiny_lexicon, vocab, 8, 4)
     assert batch.b_ids[0].tolist() == [D.NOBIAS_ID]
     assert batch.b_mask[0].tolist() == [1]
 
 
 def test_encode_reserved_surfaces_in_text_as_unk():
     lexicon = Lexicon({"<sep>": "OI", "zorp": "nOI"})
-    examples = examples_from([("<pad> hello <sep> <nobias> <unk> zorp", 1), ("<pad>", 0)])
-    vocab = Vocab.build(Corpus.from_examples(examples))
-    batch = encode_batch(examples, lexicon, vocab, 8, 8)
+    corpus = corpus_from([("<pad> hello <sep> <nobias> <unk> zorp", 1), ("<pad>", 0)])
+    vocab = Vocab.build(corpus)
+    batch = encode_all(corpus, lexicon, vocab, 8, 8)
     unk, hello, zorp = D.UNK_ID, vocab.id("hello"), vocab.id("zorp")
     assert batch.x_ids.tolist() == [[unk, hello, unk, unk, unk, zorp], [unk, 0, 0, 0, 0, 0]]
     assert batch.x_mask.tolist() == [[1] * 6, [1, 0, 0, 0, 0, 0]]
@@ -233,63 +231,64 @@ def test_encode_reserved_surfaces_in_text_as_unk():
 
 def test_encode_truncates_long_sentence(tiny_lexicon):
     text = " ".join(f"w{i}" for i in range(200))
-    examples = examples_from([(text, 0)])
-    vocab = Vocab.build(Corpus.from_examples(examples))
-    batch = encode_batch(examples, tiny_lexicon, vocab, 128, 4)
+    corpus = corpus_from([(text, 0)])
+    vocab = Vocab.build(corpus)
+    batch = encode_all(corpus, tiny_lexicon, vocab, 128, 4)
     assert batch.x_ids.shape == (1, 128)
     assert batch.x_ids[0].tolist() == [vocab.id(f"w{i}") for i in range(128)]
 
 
 def test_encode_width_is_longest_row_capped_at_limit(tiny_lexicon):
-    examples = examples_from([("a b c", 0), ("hoe ass black zorp x y z", 1), ("w", 0)])
-    vocab = Vocab.build(Corpus.from_examples(examples))
-    batch = encode_batch(examples, tiny_lexicon, vocab, 128, 16)
+    corpus = corpus_from([("a b c", 0), ("hoe ass black zorp x y z", 1), ("w", 0)])
+    vocab = Vocab.build(corpus)
+    batch = encode_all(corpus, tiny_lexicon, vocab, 128, 16)
     assert batch.x_ids.shape == batch.x_mask.shape == (3, 7)
     assert batch.b_ids.shape == batch.b_mask.shape == (3, 7)  # 4 matches, 3 separators
     assert (batch.x_mask.sum(axis=1) == [3, 7, 1]).all()
     assert (batch.b_mask.sum(axis=1) == [1, 7, 1]).all()
-    capped = encode_batch(examples, tiny_lexicon, vocab, 5, 3)
+    capped = encode_all(corpus, tiny_lexicon, vocab, 5, 3)
     assert capped.x_ids.shape == (3, 5)
     assert capped.b_ids.shape == (3, 3)
     assert capped.x_ids[1].tolist() == batch.x_ids[1, :5].tolist()
 
 
 def test_encode_no_examples_gives_empty_batch(tiny_lexicon):
-    batch = encode_batch([], tiny_lexicon, Vocab(), 128, 16)
+    batch = encode_all(corpus_from([]), tiny_lexicon, Vocab(), 128, 16)
     assert batch.x_ids.shape[0] == batch.b_ids.shape[0] == batch.labels.shape[0] == 0
 
 
 def test_encode_round_trips_in_vocab_tokens(tiny_lexicon):
-    examples = examples_from([("my ex so ugly hoe ass", 1), ("hello world", 0)])
-    vocab = Vocab.build(Corpus.from_examples(examples))
-    batch = encode_batch(examples, tiny_lexicon, vocab, 10, 6)
-    for ex, row, mask in zip(examples, batch.x_ids, batch.x_mask):
+    sentences = sentences_from([("my ex so ugly hoe ass", 1), ("hello world", 0)])
+    corpus = Corpus.from_sentences(sentences)
+    vocab = Vocab.build(corpus)
+    batch = encode_all(corpus, tiny_lexicon, vocab, 10, 6)
+    for (tokens, _), row, mask in zip(sentences, batch.x_ids, batch.x_mask):
         decoded = [vocab.tokens[i] for i, m in zip(row, mask) if m == 1]
-        assert decoded == list(ex.tokens)
+        assert decoded == tokens
 
 
 def test_encode_mask_iff_not_pad(tiny_lexicon):
-    examples = examples_from([("a b c", 0), ("hoe", 1)])
-    vocab = Vocab.build(Corpus.from_examples(examples))
-    batch = encode_batch(examples, tiny_lexicon, vocab, 5, 4)
+    corpus = corpus_from([("a b c", 0), ("hoe", 1)])
+    vocab = Vocab.build(corpus)
+    batch = encode_all(corpus, tiny_lexicon, vocab, 5, 4)
     assert ((batch.x_mask == 1) == (batch.x_ids != D.PAD_ID)).all()
     assert ((batch.b_mask == 1) == (batch.b_ids != D.PAD_ID)).all()
 
 
 def test_encode_empty_sentence_becomes_unk(tiny_lexicon):
-    examples = [Example(text="...", tokens=(), label=0)]
-    vocab = Vocab.build(Corpus.from_examples(examples))
-    batch = encode_batch(examples, tiny_lexicon, vocab, 4, 4)
+    corpus = Corpus.from_sentences([([], 0)])
+    vocab = Vocab.build(corpus)
+    batch = encode_all(corpus, tiny_lexicon, vocab, 4, 4)
     assert batch.x_ids[0].tolist() == [D.UNK_ID]
     assert batch.x_mask[0].sum() == 1
 
 
 def test_encode_mask_bias_replaces_lexicon_tokens_with_unk(tiny_lexicon):
-    # a hand-built example keeps its case; lexicon matching lowercases
-    examples = examples_from([("beat that hoe ass", 1)]) + [Example(text="Hoe that", tokens=("Hoe", "that"), label=1)]
-    vocab = Vocab.build(Corpus.from_examples(examples))
-    plain = encode_batch(examples, tiny_lexicon, vocab, 6, 6)
-    masked = encode_batch(examples, tiny_lexicon, vocab, 6, 6, mask_bias=True)
+    # a hand-built sentence keeps its case; lexicon matching lowercases
+    corpus = Corpus.from_sentences(sentences_from([("beat that hoe ass", 1)]) + [(["Hoe", "that"], 1)])
+    vocab = Vocab.build(corpus)
+    plain = encode_all(corpus, tiny_lexicon, vocab, 6, 6)
+    masked = encode_all(corpus, tiny_lexicon, vocab, 6, 6, mask_bias=True)
     assert masked.x_ids[0].tolist() == [vocab.id("beat"), vocab.id("that"), D.UNK_ID, D.UNK_ID]
     assert masked.x_ids[1].tolist() == [D.UNK_ID, vocab.id("that"), D.PAD_ID, D.PAD_ID]
     # the bias sequence itself is untouched
@@ -297,9 +296,9 @@ def test_encode_mask_bias_replaces_lexicon_tokens_with_unk(tiny_lexicon):
 
 
 def test_nobias_batch_resets_all_rows(tiny_lexicon):
-    examples = examples_from([("beat that hoe ass", 1), ("hello world", 0)])
-    vocab = Vocab.build(Corpus.from_examples(examples))
-    batch = encode_batch(examples, tiny_lexicon, vocab, 6, 4)
+    corpus = corpus_from([("beat that hoe ass", 1), ("hello world", 0)])
+    vocab = Vocab.build(corpus)
+    batch = encode_all(corpus, tiny_lexicon, vocab, 6, 4)
     ref = nobias_batch(batch)
     assert (ref.b_ids[:, 0] == D.NOBIAS_ID).all()
     assert (ref.b_ids[:, 1:] == 0).all()
@@ -313,7 +312,7 @@ def test_nobias_batch_resets_all_rows(tiny_lexicon):
 def _label_stats(token, toxic, nontoxic, surfaces=None):
     rows = [(f"{token} here", 1)] * toxic + [(f"{token} there", 0)] * nontoxic
     lexicon = Lexicon({s: "OnI" for s in surfaces or [token]})
-    return lexicon_label_stats(examples_from(rows), lexicon)
+    return lexicon_label_stats(corpus_from(rows), lexicon)
 
 
 def test_label_stats_row_black():
@@ -331,8 +330,8 @@ def test_label_stats_symmetric():
 
 
 def test_label_stats_counts_examples_not_occurrences():
-    examples = examples_from([("ass ass ass", 1), ("no match", 0)])
-    assert lexicon_label_stats(examples, Lexicon({"ass": "OnI"})) == [("ass", 1, 0, 100.0)]
+    corpus = corpus_from([("ass ass ass", 1), ("no match", 0)])
+    assert lexicon_label_stats(corpus, Lexicon({"ass": "OnI"})) == [("ass", 1, 0, 100.0)]
 
 
 def test_label_stats_omit_surfaces_without_occurrences():
@@ -366,21 +365,21 @@ def test_generator_rejects_out_of_range_rate():
 def test_generator_label_balance(seed):
     train, test_iid, test_flipped = generate_synthetic_corpus(seed, 500, 200, 0.9)
     for split in (train, test_iid, test_flipped):
-        frac = sum(ex.label for ex in split) / len(split)
+        frac = sum(label for _, label in split) / len(split)
         assert 0.4 <= frac <= 0.6
 
 
 def test_generator_spurious_cooccurrence_at_095():
     train, _, _ = generate_synthetic_corpus(7, 4000, 10, 0.95)
-    toxic = [ex for ex in train if ex.label == 1]
-    rate = sum(1 for ex in toxic if D.BIAS_TOKEN in ex.tokens) / len(toxic)
+    toxic = [text for text, label in train if label == 1]
+    rate = sum(1 for text in toxic if D.BIAS_TOKEN in tokenize(text)) / len(toxic)
     assert 0.93 <= rate <= 0.97
 
 
 def test_generator_flipped_split_inverts_cooccurrence():
     _, _, flipped = generate_synthetic_corpus(7, 10, 2000, 0.95)
-    toxic = [ex for ex in flipped if ex.label == 1]
-    rate = sum(1 for ex in toxic if D.BIAS_TOKEN in ex.tokens) / len(toxic)
+    toxic = [text for text, label in flipped if label == 1]
+    rate = sum(1 for text in toxic if D.BIAS_TOKEN in tokenize(text)) / len(toxic)
     assert rate <= 0.10
 
 
@@ -389,8 +388,8 @@ def test_generator_independent_at_half():
     # 10.83 is the 0.001 critical value
     train, _, _ = generate_synthetic_corpus(3, 4000, 10, 0.5)
     table = np.zeros((2, 2))
-    for ex in train:
-        table[int(D.BIAS_TOKEN in ex.tokens), ex.label] += 1
+    for text, label in train:
+        table[int(D.BIAS_TOKEN in tokenize(text)), label] += 1
     total = table.sum()
     expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / total
     chi2 = ((table - expected) ** 2 / expected).sum()
@@ -403,5 +402,5 @@ def test_generator_lexicon_matches_tokens():
     assert set(lex.entries) == {D.BIAS_TOKEN, *D.NEUTRAL_BIAS_TOKENS}
     train, _, _ = generate_synthetic_corpus(5, 200, 10, 0.8)
     # tokenization must round-trip the generated text exactly
-    for ex in train:
-        assert tuple(tokenize(ex.text)) == ex.tokens
+    for text, _ in train:
+        assert " ".join(tokenize(text)) == text

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cfdetox import effects as E
-from cfdetox.data import Corpus, encode_batch, nobias_batch, Vocab
+from cfdetox.data import nobias_batch, Vocab
 from cfdetox.errors import ContractError
-from helpers import ccdf_scenarios, examples_from, graph_effects, harmonic_fusion, make_batch, scenario_logits as fake_logits
+from helpers import ccdf_scenarios, corpus_from, encode_all, graph_effects, harmonic_fusion, make_batch, scenario_logits as fake_logits
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +184,9 @@ def test_full_effects_identity():
 # ---------------------------------------------------------------------------
 
 def test_inference_records_schema(tiny_params, tiny_lexicon):
-    examples = examples_from([("black hoe text", 1), ("plain words", 0)])
-    vocab = Vocab.build(Corpus.from_examples(examples))
-    batch = encode_batch(examples, tiny_lexicon, vocab, 6, 4)
+    corpus = corpus_from([("black hoe text", 1), ("plain words", 0)])
+    vocab = Vocab.build(corpus)
+    batch = encode_all(corpus, tiny_lexicon, vocab, 6, 4)
     f, cf, ref = ccdf_scenarios(tiny_params, batch)
     records = E.inference_records(f, cf, ref)
     assert len(records) == 2

@@ -19,12 +19,12 @@ import pytest
 import cfdetox.kernels as K
 from cfdetox import autodiff as A
 from cfdetox import optim as O
-from cfdetox.data import Corpus, generate_synthetic_corpus, synthetic_lexicon
+from cfdetox.data import generate_synthetic_corpus, synthetic_lexicon
 from cfdetox.errors import ContractError
 from cfdetox.kernels import pure
 from cfdetox.kernels.pure import BLOCK
 from cfdetox.training import TrainConfig, train
-from helpers import adamw_update_reference, scatter_add_rows_reference
+from helpers import adamw_update_reference, corpus_from, scatter_add_rows_reference
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -175,7 +175,7 @@ def test_pure_scatter_refuses_mismatched_input(case):
 def test_training_parity_across_backends(compiled, monkeypatch):
     """A few ccdf steps with dropout write the same parameter bytes on either
     backend; the kernels are swapped where the trainer looks them up."""
-    train_set, valid, _ = map(Corpus.from_examples, generate_synthetic_corpus(0, 24, 8, 0.9))
+    train_set, valid, _ = map(corpus_from, generate_synthetic_corpus(0, 24, 8, 0.9))
     config = TrainConfig(epochs=2, batch_size=4, learning_rate=1e-3, dropout=0.1,
                          hidden=8, lx=12, lb=4, eval_every_steps=1000, seed=0,
                          mode="ccdf", embed_dim=8)

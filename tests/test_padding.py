@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from cfdetox import model as M
-from cfdetox.data import Corpus, EncodedBatch, Example, Vocab, encode_batch, generate_synthetic_corpus
+from cfdetox.data import Corpus, EncodedBatch, Vocab, generate_synthetic_corpus
 from cfdetox.lexicon import Lexicon
 from cfdetox.training import MODE_SPECS, TrainConfig, lmixin_forward, predict_batch, sentence_branch_forward
-from helpers import examples_from
+from helpers import corpus_from, encode_all, sentences_from
 
 LX, LB = TrainConfig().lx, TrainConfig().lb
 TOL = 1e-12
@@ -31,18 +31,18 @@ def _batches():
     """(lexicon, vocab, [trimmed batches]): a synthetic-corpus batch and a
     hand-made one with an empty sentence, a sentence past ``lx`` and a
     bias sequence past ``lb``."""
-    corpus, _, _ = generate_synthetic_corpus(5, 48, 8, 0.9)
+    records, _, _ = generate_synthetic_corpus(5, 48, 8, 0.9)
     lexicon = Lexicon({"zorp": "nOI", "grax": "OI", "fleeb": "OnI", "hoe": "OnI"})
     long_text = " ".join(f"w{i % 40}" for i in range(LX + 30))
-    hand = examples_from([
+    hand = sentences_from([
         ("zorp " * 12 + "calm words here", 1),
         (long_text + " zorp", 0),
         ("hoe grax fleeb", 1),
         ("nothing matches at all", 0),
-    ]) + [Example(text="...", tokens=(), label=0)]
-    vocab = Vocab.build(Corpus.from_examples(corpus + hand))
-    return lexicon, vocab, [encode_batch(corpus[:32], lexicon, vocab, LX, LB),
-                            encode_batch(hand, lexicon, vocab, LX, LB)]
+    ]) + [([], 0)]
+    vocab = Vocab.build(Corpus.from_sentences(sentences_from(records) + hand))
+    return lexicon, vocab, [encode_all(corpus_from(records[:32]), lexicon, vocab, LX, LB),
+                            encode_all(Corpus.from_sentences(hand), lexicon, vocab, LX, LB)]
 
 
 @pytest.fixture(scope="module")

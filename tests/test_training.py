@@ -13,11 +13,8 @@ from cfdetox.checkpoint import save_params
 from cfdetox.data import (
     NOBIAS_ID,
     RESERVED,
-    Corpus,
     EncodedBatch,
-    Example,
     Vocab,
-    encode_batch,
     generate_synthetic_corpus,
     synthetic_lexicon,
 )
@@ -37,7 +34,7 @@ from cfdetox.training import (
     sentence_branch_forward,
     train,
 )
-from helpers import ccdf_scenarios, encode_reference, examples_from, make_batch, total_loss
+from helpers import ccdf_scenarios, corpus_from, encode_reference, make_batch, total_loss
 
 
 def small_config(**overrides):
@@ -49,8 +46,8 @@ def small_config(**overrides):
 
 
 def corpora(*splits):
-    """Each list of examples as the corpus ``train`` and ``evaluate`` read."""
-    return [Corpus.from_examples(split) for split in splits]
+    """Each list of (text, label) records as the corpus ``train`` and ``evaluate`` read."""
+    return [corpus_from(split) for split in splits]
 
 
 def small_corpus(seed=0, n=48):
@@ -292,7 +289,7 @@ def test_train_masking_mode_masks_training_batches_only(monkeypatch):
     assert True in seen_flags and False in seen_flags
 
     seen_flags.clear()
-    evaluate(res.params, cfg, Corpus.from_examples(test_set), lexicon, res.vocab, "factual")
+    evaluate(res.params, cfg, corpus_from(test_set), lexicon, res.vocab, "factual")
     assert set(seen_flags) == {False}
 
 
@@ -314,7 +311,7 @@ def test_evaluate_reports_requested_rule_and_all_rules():
     train_set, test_set, lexicon = small_corpus(n=64)
     cfg = small_config()
     res = train(cfg, *corpora(train_set[:-8], train_set[-8:]), lexicon)
-    report, _ = evaluate(res.params, cfg, Corpus.from_examples(test_set), lexicon, res.vocab, "tie")
+    report, _ = evaluate(res.params, cfg, corpus_from(test_set), lexicon, res.vocab, "tie")
     assert report.inference == "tie"
     assert set(report.by_rule) == {"tie", "te", "factual"}
     assert report.dataset_size == len(test_set)
@@ -326,7 +323,7 @@ def test_evaluate_empty_set_is_error(tiny_lexicon):
     cfg = small_config()
     res = train(cfg, *corpora(train_set[:16], train_set[-8:]), lexicon)
     with pytest.raises(ValidationError):
-        evaluate(res.params, cfg, Corpus.from_examples([]), lexicon, res.vocab, "tie")
+        evaluate(res.params, cfg, corpus_from([]), lexicon, res.vocab, "tie")
 
 
 def test_single_branch_checkpoint_rejects_tie_inference():
@@ -334,7 +331,7 @@ def test_single_branch_checkpoint_rejects_tie_inference():
     cfg = small_config(mode="vanilla")
     res = train(cfg, *corpora(train_set[:16], train_set[-8:]), lexicon)
     with pytest.raises(ValidationError, match="requires a ccdf checkpoint"):
-        evaluate(res.params, cfg, Corpus.from_examples(test_set), lexicon, res.vocab, "tie")
+        evaluate(res.params, cfg, corpus_from(test_set), lexicon, res.vocab, "tie")
 
 
 def test_predict_batch_reuses_the_factual_bias_score():
@@ -380,7 +377,7 @@ def test_predict_batch_records_no_graph(monkeypatch, mode):
     pytest.param("vanilla", "tie", "requires a ccdf checkpoint", id="rule-needs-ccdf"),
 ])
 def test_evaluate_rejects_rule_before_encoding(monkeypatch, tiny_params, tiny_lexicon, mode, rule, message):
-    corpus = Corpus.from_examples(examples_from([("black hoe text", 1), ("plain words", 0)]))
+    corpus = corpus_from([("black hoe text", 1), ("plain words", 0)])
     encoded = []
     monkeypatch.setattr(T, "CorpusEncoder", lambda *args, **kwargs: encoded.append(args))
     with pytest.raises(ValidationError, match=message):
@@ -391,7 +388,7 @@ def test_evaluate_rejects_rule_before_encoding(monkeypatch, tiny_params, tiny_le
 def test_evaluate_records_end_with_sorted_categories(tiny_params, tiny_lexicon):
     # predict_batch returns model output only; evaluate appends the
     # matched lexicon categories as each record's last key
-    corpus = Corpus.from_examples(examples_from([("black hoe text", 1), ("plain words", 0)]))
+    corpus = corpus_from([("black hoe text", 1), ("plain words", 0)])
     config = small_config(embed_dim=5, hidden=7, lx=6, lb=4)
     _, records = evaluate(tiny_params, config, corpus, tiny_lexicon, Vocab.build(corpus), "tie")
     assert [list(r)[-1] for r in records] == ["categories", "categories"]
@@ -450,10 +447,10 @@ def test_scoring_one_example_with_a_train_long_sized_model_stays_small(tiny_lexi
     vocab = Vocab(list(RESERVED) + words)
     cfg = small_config(embed_dim=128, hidden=256, lx=128)
     params = M.init_params(cfg.model_config(len(vocab)), np.random.default_rng(25))
-    example = Example.from_text(" ".join(words[:110] + ["black"]), 1)
+    corpus = corpus_from([(" ".join(words[:110] + ["black"]), 1)])
     tracemalloc.start()
     try:
-        evaluate(params, cfg, Corpus.from_examples([example]), tiny_lexicon, vocab, "tie")
+        evaluate(params, cfg, corpus, tiny_lexicon, vocab, "tie")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -491,7 +488,7 @@ def test_evaluate_runs_the_mixing_layer_once_per_call(monkeypatch):
     test_set = test_set * 12
     assert len(test_set) > 2 * T.EVAL_BATCH_SIZE
     cfg = small_config()
-    vocab = Vocab.build(Corpus.from_examples(train_set))
+    vocab = Vocab.build(corpus_from(train_set))
     params = M.init_params(cfg.model_config(len(vocab)), np.random.default_rng(3))
     mixing = []
     mix = A.mix
@@ -502,7 +499,7 @@ def test_evaluate_runs_the_mixing_layer_once_per_call(monkeypatch):
         return mix(x, w, b, *args, **kwargs)
 
     monkeypatch.setattr(A, "mix", counting_mix)
-    _, records = evaluate(params, cfg, Corpus.from_examples(test_set), lexicon, vocab, "tie")
+    _, records = evaluate(params, cfg, corpus_from(test_set), lexicon, vocab, "tie")
     assert len(records) == len(test_set)
     assert len(mixing) == 1
 
@@ -517,7 +514,7 @@ def test_evaluate_leaves_the_caller_params_unchanged(mode):
     values = dict(res.params)
     arrays = {name: v.data for name, v in res.params.items()}
     copies = {name: a.copy() for name, a in arrays.items()}
-    evaluate(res.params, cfg, Corpus.from_examples(test_set), lexicon, res.vocab, cfg.spec.selection_rule)
+    evaluate(res.params, cfg, corpus_from(test_set), lexicon, res.vocab, cfg.spec.selection_rule)
     assert M.ENCODED_ROWS not in res.params
     assert res.params == values
     for name, v in res.params.items():
