@@ -186,9 +186,9 @@ class Corpus:
 class CorpusEncoder:
     """A corpus's per-table lookups, from which :func:`encode_batch` gathers batches.
 
-    Each table token's lexicon match, sentence id and bias id are looked
-    up once, here; a batch gathers its rows from them, so it costs what
-    its own tokens cost, whatever the size of the corpus.
+    Each table token's lexicon match, category, sentence id and bias id
+    are looked up once, here; a batch gathers its rows from them, so it
+    costs what its own tokens cost, whatever the size of the corpus.
     """
 
     def __init__(self, corpus: Corpus, lexicon: Lexicon, vocab: Vocab,
@@ -202,6 +202,10 @@ class CorpusEncoder:
         self.bias_ids = np.array([-1 if s is None else vocab.id(s) for s in self._surfaces], dtype=np.int64)
         self.x_ids = np.array([UNK_ID if mask_bias and s is not None else vocab.id(t)
                                for t, s in zip(corpus.tokens, self._surfaces)], dtype=np.int64)
+        # the matched categories in sorted order, and each table token's as a bit, 1 << its index; 0 where none
+        self._categories = sorted({lexicon.category(s) for s in self._surfaces if s is not None})
+        self._category_bits = np.array([0 if s is None else 1 << self._categories.index(lexicon.category(s))
+                                        for s in self._surfaces], dtype=np.int64)
 
     def matches(self, i: int) -> BiasedTokenSet:
         """Row ``i``'s ``match_biased_tokens``, read off the lookups that give its bias ids."""
@@ -209,13 +213,15 @@ class CorpusEncoder:
         surfaces = tuple(self._surfaces[t] for t in sentence[self.bias_ids[sentence] != -1].tolist())
         return BiasedTokenSet(surfaces, frozenset(map(self.lexicon.category, surfaces)))
 
-
-def _pad_rows(rows: Sequence[Sequence[int]]) -> np.ndarray:
-    """Right-pad id rows with PAD to the longest one."""
-    ids = np.full((len(rows), max(map(len, rows), default=1)), PAD_ID, dtype=np.int64)
-    for i, row in enumerate(rows):
-        ids[i, : len(row)] = row
-    return ids
+    def categories(self) -> list[list[str]]:
+        """Each row's sorted ``matches(i).categories``, from one gather of the category bits."""
+        corpus = self.corpus
+        bits = self._category_bits[corpus.ids]
+        hits = np.flatnonzero(bits)
+        row_bits = np.zeros(len(corpus), dtype=np.int64)
+        np.bitwise_or.at(row_bits, np.searchsorted(corpus.offsets, hits, side="right") - 1, bits[hits])
+        names = {m: [c for k, c in enumerate(self._categories) if m >> k & 1] for m in set(row_bits.tolist())}
+        return [list(names[m]) for m in row_bits.tolist()]
 
 
 def encode_batch(encoder: CorpusEncoder, rows: Sequence[int]) -> EncodedBatch:
@@ -228,17 +234,33 @@ def encode_batch(encoder: CorpusEncoder, rows: Sequence[int]) -> EncodedBatch:
     [b1, SEP, b2, ...]; an empty match encodes as the single NOBIAS id.
     With ``mask_bias`` the sentence ids of matched tokens are replaced by
     UNK (training-time masking mode); the bias sequence is unaffected.
+    Every row's tokens are gathered at once, by their position in the row.
     """
-    x_rows, b_rows = [], []
-    for i in rows:
-        sentence = encoder.corpus.sentence(i)
-        x_rows.append(encoder.x_ids[sentence[: encoder.max_sentence_len]] if len(sentence) else [UNK_ID])
-        matched = encoder.bias_ids[sentence]
-        matched = matched[matched != -1]
-        interleaved = np.full(max(2 * len(matched) - 1, 1), SEP_ID if len(matched) else NOBIAS_ID)
-        interleaved[: 2 * len(matched) : 2] = matched
-        b_rows.append(interleaved[: encoder.max_bias_len])
-    return EncodedBatch(_pad_rows(x_rows), _pad_rows(b_rows), encoder.corpus.labels[np.asarray(rows, dtype=np.intp)])
+    corpus, lx, lb = encoder.corpus, encoder.max_sentence_len, encoder.max_bias_len
+    rows = np.asarray(rows, dtype=np.intp)
+    starts = corpus.offsets[rows]
+    lengths = corpus.offsets[rows + 1] - starts
+    row_of = np.repeat(np.arange(len(rows)), lengths)  # every token of the rows, in order
+    col = np.arange(len(row_of)) - np.repeat(np.cumsum(lengths) - lengths, lengths)  # its position in its row
+    tokens = corpus.ids[np.repeat(starts, lengths) + col]  # its table index
+
+    x_ids = np.full((len(rows), max(min(lengths.max(initial=0), lx), 1)), PAD_ID, dtype=np.int64)
+    kept = col < lx
+    x_ids[row_of[kept], col[kept]] = encoder.x_ids[tokens[kept]]
+    x_ids[lengths == 0, 0] = UNK_ID
+
+    bias = encoder.bias_ids[tokens]
+    b_rows, bias = row_of[bias != -1], bias[bias != -1]
+    matched = np.bincount(b_rows, minlength=len(rows))
+    # a row's k-th match goes to slot 2k and the SEP before it to slot 2k - 1
+    slot = 2 * (np.arange(len(b_rows)) - np.repeat(np.cumsum(matched) - matched, matched))
+    b_ids = np.full((len(rows), max(min(2 * matched.max(initial=0) - 1, lb), 1)), PAD_ID, dtype=np.int64)
+    kept = slot < lb
+    b_ids[b_rows[kept], slot[kept]] = bias[kept]
+    kept = (slot > 0) & (slot <= lb)
+    b_ids[b_rows[kept], slot[kept] - 1] = SEP_ID
+    b_ids[matched == 0, 0] = NOBIAS_ID
+    return EncodedBatch(x_ids, b_ids, corpus.labels[rows])
 
 
 def nobias_batch(batch: EncodedBatch) -> EncodedBatch:
@@ -246,7 +268,8 @@ def nobias_batch(batch: EncodedBatch) -> EncodedBatch:
 
     This is the no-treatment input used as the reference evaluation.
     """
-    return EncodedBatch(x_ids=batch.x_ids, b_ids=_pad_rows([[NOBIAS_ID]] * len(batch.labels)), labels=batch.labels)
+    return EncodedBatch(x_ids=batch.x_ids, b_ids=np.full((len(batch.labels), 1), NOBIAS_ID, np.int64),
+                        labels=batch.labels)
 
 
 def lexicon_label_stats(corpus: Corpus, lexicon: Lexicon) -> list[tuple[str, int, int, float]]:

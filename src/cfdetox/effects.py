@@ -28,9 +28,10 @@ class EffectBundle:
     tie: np.ndarray
 
 
-def argmax_label(score: np.ndarray) -> int:
-    """Class with the larger score; ties resolve to 0 (non-toxic)."""
-    return int(score[1] > score[0])
+def argmax_labels(scores: np.ndarray) -> list[int]:
+    """Class with the larger score in each row of ``scores`` [batch, 2];
+    ties resolve to 0 (non-toxic)."""
+    return (scores[:, 1] > scores[:, 0]).astype(np.int64).tolist()
 
 
 def effects(factual: ScenarioLogits, counterfactual: ScenarioLogits, reference: ScenarioLogits) -> EffectBundle:
@@ -70,14 +71,7 @@ def inference_records(
     if bundle.tie.ndim != 2:
         raise ContractError("inference_records needs three aligned [batch, 2] evaluations")
     f, cf = factual.fused.data, counterfactual.fused.data
-    return [
-        {
-            "fused_factual": f[i].tolist(),
-            "fused_counterfactual": cf[i].tolist(),
-            "tie": bundle.tie[i].tolist(),
-            "te_label": argmax_label(bundle.te[i]),
-            "tie_label": argmax_label(bundle.tie[i]),
-            "factual_label": argmax_label(f[i]),
-        }
-        for i in range(f.shape[0])
-    ]
+    keys = ("fused_factual", "fused_counterfactual", "tie", "te_label", "tie_label", "factual_label")
+    columns = (f.tolist(), cf.tolist(), bundle.tie.tolist(),
+               argmax_labels(bundle.te), argmax_labels(bundle.tie), argmax_labels(f))
+    return [dict(zip(keys, row)) for row in zip(*columns)]

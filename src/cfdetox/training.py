@@ -17,15 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Iterator
 
 import numpy as np
 
 from cfdetox import autodiff as A
 from cfdetox import model as M
 from cfdetox.autodiff import Value
-from cfdetox.data import NOBIAS_ID, Corpus, CorpusEncoder, EncodedBatch, Vocab, encode_batch, nobias_batch
-from cfdetox.effects import argmax_label, inference_records
+from cfdetox.data import NOBIAS_ID, PAD_ID, Corpus, CorpusEncoder, EncodedBatch, Vocab, encode_batch, nobias_batch
+from cfdetox.effects import argmax_labels, inference_records
 from cfdetox.errors import ContractError, DomainError, NumericsError, ValidationError, VocabularyError
 # unused here, match_biased_tokens stays for perfbench/tracer.py to patch
 from cfdetox.lexicon import Lexicon, match_biased_tokens
@@ -61,11 +61,8 @@ MODE_SPECS: dict[str, ModeSpec] = {
 }
 MODES = tuple(MODE_SPECS)
 
-EVAL_BATCH_SIZE = 64
-# scoring's model passes take 16-row blocks at the batch's width (the width
-# enters softmax sums); OpenBLAS rounds a product's tail rows unlike rows in
-# its 4-row panels, so blocks start at multiples of 4 and hold 4 rows or more
-SCORING_BLOCK = 16
+# sentence slots (rows x Lx) per scoring block: 16 rows at lx 128; see predict_batch
+SCORING_SLOTS = 2048
 # ids per encoder call filling the scoring rows, bounding its temporaries;
 # never 1, as a 1-row product rounds unlike the same row among others
 SCORING_CHUNK = 256
@@ -128,7 +125,7 @@ class TrainConfig:
 
 def _check_labels(labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels)
-    if labels.size and not np.isin(labels, (0, 1)).all():
+    if not ((labels == 0) | (labels == 1)).all():
         raise ValidationError(f"labels must be 0/1, got values {sorted(set(labels.tolist()))}")
     return labels
 
@@ -209,9 +206,9 @@ def _spans(n: int, size: int, min_last: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n]))
 
 
-def scoring_params(params: dict[str, Value], batches: Sequence[EncodedBatch]) -> dict[str, Value]:
-    """Constant parameters that score ``batches``: one encoder row per
-    distinct id in them plus NOBIAS_ID (the te reference), filled by
+def scoring_params(params: dict[str, Value], batch: EncodedBatch) -> dict[str, Value]:
+    """Constant parameters that score ``batch``: one encoder row per
+    distinct id in it plus NOBIAS_ID (the te reference), filled by
     :func:`model.encode` in chunks of SCORING_CHUNK ids, which it gathers.
 
     A row of the mixing layer's ``[·, d] @ [d, d]`` product has the same
@@ -224,12 +221,11 @@ def scoring_params(params: dict[str, Value], batches: Sequence[EncodedBatch]) ->
     table = consts["encoder.embed"].data
     seen = np.zeros(len(table), dtype=bool)
     seen[NOBIAS_ID] = True
-    for batch in batches:
-        for ids in (batch.x_ids, batch.b_ids):
-            if ids.size and (ids.min() < 0 or ids.max() >= len(seen)):
-                raise VocabularyError(f"token id out of range: ids span [{ids.min()}, {ids.max()}], "
-                                      f"table has {len(seen)} rows")
-            seen[ids] = True
+    for ids in (batch.x_ids, batch.b_ids):
+        if ids.size and (ids.min() < 0 or ids.max() >= len(seen)):
+            raise VocabularyError(f"token id out of range: ids span [{ids.min()}, {ids.max()}], "
+                                  f"table has {len(seen)} rows")
+        seen[ids] = True
     ids = np.flatnonzero(seen)
     rows = np.empty((len(ids), table.shape[1]))
     for start, stop in _spans(len(ids), SCORING_CHUNK, 2):
@@ -239,34 +235,68 @@ def scoring_params(params: dict[str, Value], batches: Sequence[EncodedBatch]) ->
     return consts
 
 
+def _scoring_blocks(batch: EncodedBatch) -> Iterator[tuple[np.ndarray, EncodedBatch]]:
+    """(rows, block) pairs that score every row of ``batch`` once.
+
+    Rows are grouped by their own (Lx, Lb) and a block holds rows of one
+    group at exactly that width, so no row is scored beside padding it
+    does not have (the width enters softmax and pooling sums).  A block
+    holds at most SCORING_SLOTS sentence slots, 4 rows at least, and is
+    padded to a multiple of 4 rows by repeating its last row: OpenBLAS
+    rounds a product's tail rows unlike rows in its 4-row panels.  The
+    padding rows come after ``rows`` in the block.
+    """
+    x_len = (batch.x_ids != PAD_ID).sum(axis=1)
+    b_len = (batch.b_ids != PAD_ID).sum(axis=1)
+    key = x_len * (batch.b_ids.shape[1] + 1) + b_len
+    order = np.argsort(key, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        lx, lb = x_len[group[0]], b_len[group[0]]
+        size = max(SCORING_SLOTS // lx // 4 * 4, 4)
+        for start in range(0, len(group), size):
+            rows = group[start : start + size]
+            padded = np.concatenate([rows, np.repeat(rows[-1:], -len(rows) % 4)])
+            yield rows, EncodedBatch(batch.x_ids[padded, :lx], batch.b_ids[padded, :lb], batch.labels[padded])
+
+
 def predict_batch(params: dict[str, Value], batch: EncodedBatch, spec: ModeSpec) -> list[dict]:
-    """Inference records for one encoded batch (dropout off).
+    """Inference records for the rows of one encoded batch, in its order (dropout off).
 
     With invariant responses all three rules come from one sweep: the
     factual pass, the counterfactual built from its bias score, and the te
     reference, the counterfactual built from the bias head's score of the
     NOBIAS input.  Other modes get ``{"factual_label"}`` read off the
-    sentence head.  Both run on SCORING_BLOCK-row blocks with one pass's
-    bits.  Records hold model output only; the caller adds ``categories``.
-    Raw parameters become this batch's :func:`scoring_params`; either way
-    they are constant leaves, so no op records a backward closure.
+    sentence head.  Each row is scored in one of :func:`_scoring_blocks`,
+    so its record has the bits of that row scored alone: a record is a
+    function of its example.  Records hold model output only; the caller
+    adds ``categories``.  Raw parameters become this batch's
+    :func:`scoring_params`; either way they are constant leaves, so no op
+    records a backward closure.
     """
+    n = len(batch.labels)
+    if not n:
+        return []
     if M.ENCODED_ROWS not in params:
-        params = scoring_params(params, [batch])
-    records: list[dict] = []
-    nobias = nobias_batch(batch)
-    for start, stop in _spans(len(batch.labels), SCORING_BLOCK, 4):
-        block = EncodedBatch(batch.x_ids[start:stop], batch.b_ids[start:stop], batch.labels[start:stop])
-        if spec.invariant_responses:
-            factual = M.ccdf_forward(params, block)
-            counterfactual = M.counterfactual_logits(params, factual.y_b)
-            bh = M.encode(nobias.b_ids[start:stop], params, site="enc_b")
-            reference = M.counterfactual_logits(params, M.bias_head(bh, nobias.b_mask[start:stop], params))
-            records += inference_records(factual, counterfactual, reference)
-        else:
-            scores = sentence_branch_forward(params, block).data
-            records += [{"factual_label": argmax_label(row)} for row in scores]
-    return records
+        params = scoring_params(params, batch)
+    if not spec.invariant_responses:
+        scores = np.empty((n, M.N_CLASSES))
+        for rows, block in _scoring_blocks(batch):
+            scores[rows] = sentence_branch_forward(params, block).data[: len(rows)]
+        return [{"factual_label": label} for label in argmax_labels(scores)]
+    y_b, fused = np.empty((n, M.N_CLASSES)), np.empty((n, M.N_CLASSES))
+    for rows, block in _scoring_blocks(batch):
+        block_logits = M.ccdf_forward(params, block)
+        y_b[rows] = block_logits.y_b.data[: len(rows)]
+        fused[rows] = block_logits.fused.data[: len(rows)]
+    factual = ScenarioLogits(y_e=None, y_x=None, y_b=A.const(y_b), fused=A.const(fused), scenario="factual")
+    # the te reference has no sentence input, so one block of the first row's NOBIAS twin gives every row's
+    _, nobias = next(_scoring_blocks(nobias_batch(EncodedBatch(batch.x_ids[:1], batch.b_ids[:1], batch.labels[:1]))))
+    bh = M.encode(nobias.b_ids, params, site="enc_b")
+    y_b_reference = M.bias_head(bh, nobias.b_mask, params).data[0]
+    # the counterfactual fusion is elementwise in the bias score, and an elementwise op gives
+    # an element the same bits at any place in any array, so both run once over the batch
+    return inference_records(factual, M.counterfactual_logits(params, factual.y_b),
+                             M.counterfactual_logits(params, A.const(np.broadcast_to(y_b_reference, y_b.shape))))
 
 
 def evaluate(
@@ -286,8 +316,8 @@ def evaluate(
     supports several inference rules the report also carries overall
     accuracy/F1 under each of them for comparison.  A rule that is
     unknown or that the mode lacks is rejected before anything is
-    encoded.  Every batch is encoded first, so one set of
-    :func:`scoring_params` serves them all.
+    encoded.  The split is encoded as one batch, so one set of
+    :func:`scoring_params` serves all of it.
     """
     if inference not in INFERENCE_RULES:
         raise ValidationError(f"unknown inference rule {inference!r}; expected one of {INFERENCE_RULES}")
@@ -297,14 +327,9 @@ def evaluate(
     if not len(corpus):
         raise ValidationError("cannot evaluate an empty dataset")
     encoder = CorpusEncoder(corpus, lexicon, vocab, config.lx, config.lb)
-    chunks = [range(*span) for span in _spans(len(corpus), EVAL_BATCH_SIZE, 1)]
-    batches = [encode_batch(encoder, chunk) for chunk in chunks]
-    scoring = scoring_params(params, batches)
-    records: list[dict] = []
-    for chunk, batch in zip(chunks, batches):
-        for record, i in zip(predict_batch(scoring, batch, spec), chunk):
-            record["categories"] = sorted(encoder.matches(i).categories)
-            records.append(record)
+    records = predict_batch(params, encode_batch(encoder, range(len(corpus))), spec)
+    for record, categories in zip(records, encoder.categories()):
+        record["categories"] = categories
     labels = corpus.labels.tolist()
     predictions = [r[f"{inference}_label"] for r in records]
     report = build_report(predictions, labels, [r["categories"] for r in records], config.mode, inference)

@@ -183,6 +183,44 @@ def ccdf_scenarios(params: dict[str, Value], batch: EncodedBatch) -> tuple[Scena
     return factual, counterfactual_logits(params, factual.y_b), counterfactual_logits(params, reference_y_b)
 
 
+def alone(batch: EncodedBatch, i: int) -> EncodedBatch:
+    """Row ``i`` of ``batch`` scored alone: cut to its own (Lx, Lb) and
+    repeated 4 times, the smallest block scoring runs."""
+    lx, lb = int((batch.x_ids[i] != PAD_ID).sum()), int((batch.b_ids[i] != PAD_ID).sum())
+    rows = [i] * 4
+    return EncodedBatch(batch.x_ids[rows, :lx], batch.b_ids[rows, :lb], batch.labels[rows])
+
+
+def records_alone(params: dict[str, Value], batch: EncodedBatch) -> list[dict]:
+    """Each row's inference record, from one factual pass over the row
+    scored alone (see :func:`alone`) and its two counterfactuals."""
+    return [inference_records_reference(*ccdf_scenarios(params, alone(batch, i)))[0]
+            for i in range(len(batch.labels))]
+
+
+def inference_records_reference(factual: ScenarioLogits, counterfactual: ScenarioLogits,
+                                reference: ScenarioLogits) -> list[dict]:
+    """``effects.inference_records`` as it was before it read whole
+    arrays: each record built row by row."""
+    bundle = effects(factual, counterfactual, reference)
+    f, cf = factual.fused.data, counterfactual.fused.data
+
+    def label(score: np.ndarray) -> int:
+        return int(score[1] > score[0])
+
+    return [
+        {
+            "fused_factual": f[i].tolist(),
+            "fused_counterfactual": cf[i].tolist(),
+            "tie": bundle.tie[i].tolist(),
+            "te_label": label(bundle.te[i]),
+            "tie_label": label(bundle.tie[i]),
+            "factual_label": label(f[i]),
+        }
+        for i in range(f.shape[0])
+    ]
+
+
 def scenario_logits(fused, scenario: str) -> ScenarioLogits:
     """Fused scores wrapped as one scenario's evaluation."""
     v = A.const(np.asarray(fused, dtype=np.float64))

@@ -252,18 +252,44 @@ def test_eval_per_example_records(run_dir, corpus_dir, tmp_path):
                            "te_label", "tie_label", "factual_label", "categories"}
     tie = np.asarray(record["fused_factual"]) - np.asarray(record["fused_counterfactual"])
     assert record["tie"] == pytest.approx(tie)
-    # the file holds exactly the records a batch-by-batch predict_batch sweep gives
+    # the file holds exactly the records each example gives scored alone
     params, config, vocab = _load_checkpoint(str(run_dir / "model.bin"))
     lexicon = load_lexicon(corpus_dir / "lexicon.csv")
     corpus = load_jsonl(corpus_dir / "test_iid.jsonl")
     encoder, sentences = CorpusEncoder(corpus, lexicon, vocab, config.lx, config.lb), sentences_of(corpus)
     expected = []
-    for start in range(0, len(corpus), T.EVAL_BATCH_SIZE):
-        chunk = range(start, min(start + T.EVAL_BATCH_SIZE, len(corpus)))
-        for r, i in zip(T.predict_batch(params, encode_batch(encoder, chunk), config.spec), chunk):
-            r["categories"] = sorted(match_biased_tokens(sentences[i][0], lexicon).categories)
-            expected.append(json.dumps(r) + "\n")
+    for i, (tokens, _) in enumerate(sentences):
+        r = T.predict_batch(params, encode_batch(encoder, [i]), config.spec)[0]
+        r["categories"] = sorted(match_biased_tokens(tokens, lexicon).categories)
+        expected.append(json.dumps(r) + "\n")
     assert records_path.read_text(encoding="utf-8") == "".join(expected)
+
+
+@pytest.mark.parametrize("mode", ["ccdf", "vanilla"])
+def test_eval_records_are_the_infer_records_byte_for_byte(corpus_dir, tmp_path, capsys, mode):
+    # a record is a function of its example: at the stock model's widths,
+    # every sentence of a split with mixed lengths and bias sequences gets
+    # from eval --records the bytes infer prints for it alone
+    out = tmp_path / mode
+    assert main(["train", "--data", str(corpus_dir), "--out", str(out), "--mode", mode, "--epochs", "1",
+                 "--learning-rate", "1e-3"]) == 0
+    flags = ["--checkpoint", str(out / "model.bin"), "--lexicon", str(corpus_dir / "lexicon.csv")]
+    records_path = tmp_path / "records.jsonl"
+    assert main(["eval", *flags, "--data", str(corpus_dir / "test_flipped.jsonl"), "--inference",
+                 T.MODE_SPECS[mode].selection_rule, "--records", str(records_path)]) == 0
+    lines = records_path.read_text(encoding="utf-8").splitlines()
+    texts = [json.loads(line)["text"] for line in (corpus_dir / "test_flipped.jsonl").read_text().splitlines()]
+    encoder = CorpusEncoder(load_jsonl(corpus_dir / "test_flipped.jsonl"), load_lexicon(corpus_dir / "lexicon.csv"),
+                            Vocab.load(out / "vocab.txt"), 128, 16)
+    batch = encode_batch(encoder, range(len(lines)))
+    assert len({(int((x != 0).sum()), int((b != 0).sum())) for x, b in zip(batch.x_ids, batch.b_ids)}) > 4
+    capsys.readouterr()
+    for text, line in zip(texts, lines, strict=True):
+        assert main(["infer", *flags, "--text", text]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        keys = list(json.loads(line))
+        assert list(printed)[: len(keys)] == keys
+        assert json.dumps({k: printed[k] for k in keys}) == line
 
 
 @pytest.mark.parametrize("mode", ["masking", "lmixin", "vanilla"])
@@ -786,4 +812,6 @@ def test_traced_batches_and_reads_are_seen(run_dir, corpus_dir, tmp_path, comman
                 "--lexicon", str(corpus_dir / "lexicon.csv"), "--out", str(tmp_path / "report.json")]
     names, counters = _traced_cli(*argv, cwd=tmp_path)
     assert {"data.encode_batch", "data.load_jsonl"} <= names
+    if command == "eval":  # the per-layer scoring metrics read these spans
+        assert {"training.predict_batch", "effects.inference_records"} <= names
     assert counters.get("data.x_slots", 0) > 0

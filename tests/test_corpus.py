@@ -61,6 +61,7 @@ def test_corpus_batches_are_the_reference_encoder_bit_for_bit(sentences, data, l
                        encode_batch_reference(sentences, LEXICON, vocab, lx, lb, mask_bias))
     for i, (tokens, _) in enumerate(sentences):
         assert encoder.matches(i) == match_biased_tokens(tokens, LEXICON)
+    assert encoder.categories() == [sorted(match_biased_tokens(tokens, LEXICON).categories) for tokens, _ in sentences]
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +81,7 @@ def test_every_batch_of_a_shuffled_stock_epoch_is_the_reference_one(stock_split,
     assert vocab.tokens == vocab_build_reference(sentences).tokens
     lexicon = D.synthetic_lexicon()
     encoder = CorpusEncoder(corpus, lexicon, vocab, 128, 16, mask_bias)
+    assert encoder.categories() == [sorted(match_biased_tokens(tokens, lexicon).categories) for tokens, _ in sentences]
     order = np.random.default_rng(0).permutation(len(sentences))
     for start in range(0, len(order), 8):
         rows = order[start : start + 8]

@@ -1,10 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
 from cfdetox import effects as E
 from cfdetox.data import nobias_batch, Vocab
 from cfdetox.errors import ContractError
-from helpers import ccdf_scenarios, corpus_from, encode_all, graph_effects, harmonic_fusion, make_batch, scenario_logits as fake_logits
+from helpers import (ccdf_scenarios, corpus_from, encode_all, graph_effects, harmonic_fusion, inference_records_reference,
+                     make_batch, scenario_logits as fake_logits)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +112,7 @@ def test_uniform_counterfactual_shift_preserves_argmax():
         f = fake_logits(fused, "factual")
         cf = fake_logits([k, k], "counterfactual")
         ref = fake_logits(rng.normal(size=2), "counterfactual")
-        assert E.argmax_label(E.effects(f, cf, ref).tie) == E.argmax_label(fused)
+        assert E.argmax_labels(E.effects(f, cf, ref).tie[None]) == E.argmax_labels(fused[None])
 
 
 def test_tie_break_toward_nontoxic():
@@ -117,7 +120,7 @@ def test_tie_break_toward_nontoxic():
     cf = fake_logits([0.7, 0.7], "counterfactual")
     tie = E.effects(f, cf, cf).tie
     assert tie.tolist() == [0.0, 0.0]
-    assert E.argmax_label(tie) == 0
+    assert E.argmax_labels(tie[None]) == [0]
 
 
 def test_debiased_prediction_scenario_contract():
@@ -195,12 +198,23 @@ def test_inference_records_schema(tiny_params, tiny_lexicon):
                             "te_label", "tie_label", "factual_label"}
 
 
+@pytest.mark.parametrize("n", [1, 3, 64])
+def test_inference_records_are_the_per_row_records_byte_for_byte(n):
+    # whole-array labels and conversions against the row-by-row build,
+    # with ties, guarded (clamped) scores and signed zeros among the rows
+    rng = np.random.default_rng(n)
+    scores = [rng.choice([-27.631021115929546, -0.0, 0.0, 0.7, -1.5, rng.normal()], size=(n, 2)) for _ in range(3)]
+    logits = [fake_logits(scores[0], "factual"), fake_logits(scores[1], "counterfactual"),
+              fake_logits(scores[2], "counterfactual")]
+    assert list(map(json.dumps, E.inference_records(*logits))) == list(map(json.dumps, inference_records_reference(*logits)))
+
+
 def test_argmax_shift_invariance():
     rng = np.random.default_rng(8)
     for _ in range(100):
         f = rng.normal(size=2)
         cf = rng.normal(size=2)
         shift = rng.normal()
-        base = E.argmax_label(f - cf)
-        shifted = E.argmax_label(f - (cf + shift))
+        base = E.argmax_labels((f - cf)[None])
+        shifted = E.argmax_labels((f - (cf + shift))[None])
         assert base == shifted

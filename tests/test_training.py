@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -13,13 +14,14 @@ from cfdetox.checkpoint import save_params
 from cfdetox.data import (
     NOBIAS_ID,
     RESERVED,
+    SEP_ID,
     EncodedBatch,
     Vocab,
     generate_synthetic_corpus,
     synthetic_lexicon,
 )
-from cfdetox.effects import inference_records
 from cfdetox.errors import ContractError, NumericsError, ValidationError, VocabularyError
+from cfdetox.lexicon import Lexicon
 from cfdetox.model import ScenarioLogits, ccdf_forward
 from cfdetox.optim import AdamWState
 from cfdetox.training import (
@@ -34,7 +36,7 @@ from cfdetox.training import (
     sentence_branch_forward,
     train,
 )
-from helpers import ccdf_scenarios, corpus_from, encode_reference, make_batch, total_loss
+from helpers import corpus_from, encode_reference, make_batch, records_alone, total_loss
 
 
 def small_config(**overrides):
@@ -101,6 +103,16 @@ def test_encoder_gradient_sees_no_bias_loss(tiny_params):
     partial = encoder_grads(False)
     for name in encoder_names:
         assert np.abs(full[name] - partial[name]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("labels, shown", [([0, 2, 1], "[0, 1, 2]"), ([0.5, 1.0, 0.0], "[0.0, 0.5, 1.0]"),
+                                           ([-1, 0, 0], "[-1, 0]")])
+def test_losses_reject_labels_other_than_0_and_1(tiny_params, labels, shown):
+    logits = ccdf_forward(tiny_params, make_batch(np.random.default_rng(3), n=3))
+    for loss in (lambda: loss_terms(logits, np.array(labels)),
+                 lambda: invariant_response_loss(logits, tiny_params, np.array(labels))):
+        with pytest.raises(ValidationError, match=rf"^labels must be 0/1, got values {re.escape(shown)}$"):
+            loss()
 
 
 def test_bias_head_still_trains(tiny_params):
@@ -344,8 +356,7 @@ def test_predict_batch_reuses_the_factual_bias_score():
         for v in params.values():
             v.data = v.data + rng.normal(0, 0.5, v.data.shape)
         batch = make_batch(rng, n=int(rng.integers(1, 9)), vocab_size=11, lx=7, lb=4)
-        expected = inference_records(*ccdf_scenarios(params, batch))
-        assert predict_batch(params, batch, MODE_SPECS["ccdf"]) == expected
+        assert predict_batch(params, batch, MODE_SPECS["ccdf"]) == records_alone(params, batch)
 
 
 @pytest.mark.parametrize("mode", ["ccdf", "vanilla"])
@@ -404,7 +415,7 @@ def test_encode_through_scoring_rows_is_the_per_slot_encoder_bit_for_bit(n, leng
     rng = np.random.default_rng(n * length)
     params = M.init_params(M.ModelConfig(vocab_size=300, embed_dim=embed_dim, hidden=4), rng)
     batch = make_batch(rng, n=n, vocab_size=300, lx=length, lb=4)
-    scoring = T.scoring_params(params, [batch])
+    scoring = T.scoring_params(params, batch)
     for ids in (batch.x_ids, batch.b_ids):
         gathered = M.encode(ids, scoring).data
         assert gathered.tobytes() == M.encode(ids, params).data.tobytes()
@@ -419,26 +430,62 @@ def test_scoring_rows_are_one_per_marked_id_with_the_vocabulary_wide_bits(n_ids)
     params["encoder.mix.b"].data = rng.normal(0.0, 0.3, 128)
     words = rng.choice(np.arange(NOBIAS_ID + 1, 700), n_ids - 1, replace=False)
     batch = EncodedBatch(x_ids=words[None, :], b_ids=np.array([[NOBIAS_ID]]), labels=np.array([0]))
-    scoring = T.scoring_params(params, [batch])
+    scoring = T.scoring_params(params, batch)
     marked = np.sort(np.append(words, NOBIAS_ID))
     assert scoring[M.ENCODED_INDEX].data[marked].tolist() == list(range(n_ids))
     assert scoring[M.ENCODED_ROWS].data.shape == (n_ids, 128)
     assert scoring[M.ENCODED_ROWS].data.tobytes() == encode_reference(marked, params).data.tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 15, 16, 17, 18, 19, 20, 33, 50, 63, 64])
-def test_scoring_in_blocks_gives_the_one_pass_records_byte_for_byte(n):
-    # OpenBLAS gives the tail rows of the heads' [256, 2] product other
-    # bits than the same rows inside a 4-row panel, so blocks must keep
-    # every row where one pass over the batch puts it
-    rng = np.random.default_rng(100 + n)
+def _lines(records):
+    """Records as the JSON lines ``eval --records`` writes, one per record."""
+    return [json.dumps(record) for record in records]
+
+
+def _scoring_model(rng):
+    """The stock model's shapes over 200 ids, with output weights that are not zero."""
     params = M.init_params(M.ModelConfig(vocab_size=200, embed_dim=128, hidden=256), rng)
     for branch in ("e", "x", "b"):
         params[f"branch.{branch}.w2"].data = rng.normal(0.0, 0.5, (256, 2))
+    return params
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 15, 16, 17, 18, 19, 20, 33, 50, 63, 64])
+def test_scoring_in_blocks_gives_the_one_pass_records_byte_for_byte(n):
+    # any block gives each row the bits of one pass over that row alone:
+    # the padded width enters softmax and pooling sums, and OpenBLAS gives
+    # the tail rows of the heads' [256, 2] product other bits than the
+    # same rows inside a 4-row panel
+    rng = np.random.default_rng(100 + n)
+    params = _scoring_model(rng)
     batch = make_batch(rng, n=n, vocab_size=200, lx=24, lb=4)
-    scoring = T.scoring_params(params, [batch])
-    one_pass = inference_records(*ccdf_scenarios(scoring, batch))
-    assert json.dumps(predict_batch(scoring, batch, MODE_SPECS["ccdf"])) == json.dumps(one_pass)
+    scoring = T.scoring_params(params, batch)
+    assert _lines(predict_batch(scoring, batch, MODE_SPECS["ccdf"])) == _lines(records_alone(scoring, batch))
+
+
+def test_scoring_blocks_fill_the_slot_budget_at_each_rows_own_width():
+    # four widths over 1200 rows: each group fills blocks of up to
+    # SCORING_SLOTS sentence slots (256 rows at Lx 8) and leaves a
+    # remainder; every row keeps the bits it has scored alone
+    rng = np.random.default_rng(30)
+    params = _scoring_model(rng)
+    n = 1200
+    x_ids = rng.integers(NOBIAS_ID + 1, 200, (n, 9))
+    x_ids[rng.random(n) < 0.5, 8] = 0
+    b_ids = rng.integers(NOBIAS_ID + 1, 200, (n, 3))
+    b_ids[:, 1] = SEP_ID
+    b_ids[rng.random(n) < 0.3, 1:] = 0
+    batch = EncodedBatch(x_ids, b_ids, rng.integers(0, 2, n))
+    blocks = list(T._scoring_blocks(batch))
+    assert sorted(np.concatenate([rows for rows, _ in blocks]).tolist()) == list(range(n))
+    for rows, block in blocks:
+        size, lx = block.x_ids.shape
+        assert size % 4 == 0 and size * lx <= T.SCORING_SLOTS and size - len(rows) < 4
+        assert (block.x_ids != 0).all() and (block.b_ids != 0).all()  # each row at exactly its width
+        assert (block.x_ids[len(rows):] == batch.x_ids[rows[-1], :lx]).all()
+    assert max(len(rows) for rows, _ in blocks) == 256
+    scoring = T.scoring_params(params, batch)
+    assert _lines(predict_batch(scoring, batch, MODE_SPECS["ccdf"])) == _lines(records_alone(scoring, batch))
 
 
 def test_scoring_one_example_with_a_train_long_sized_model_stays_small(tiny_lexicon):
@@ -455,6 +502,27 @@ def test_scoring_one_example_with_a_train_long_sized_model_stays_small(tiny_lexi
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 2**20
+
+
+def test_evaluating_a_train_long_shaped_split_peaks_below_the_64_row_batches():
+    # 200 sentences of 100-115 ids from 3019 words: scored as 64-row
+    # batches at their padded width, evaluate peaked at 5.52 MiB
+    # (5,785,470 and 5,795,871 B in two runs); grouped by width, at 4.75
+    rng = np.random.default_rng(28)
+    words = [f"w{i}" for i in range(3019)]
+    vocab = Vocab(list(RESERVED) + words)
+    texts = [" ".join(list(rng.choice(words, rng.integers(100, 116))) + ["black", "zorp"][: rng.integers(0, 3)])
+             for _ in range(200)]
+    corpus = corpus_from([(text, i % 2) for i, text in enumerate(texts)])
+    cfg = TrainConfig(embed_dim=128, hidden=256, lx=128)
+    params = M.init_params(cfg.model_config(len(vocab)), np.random.default_rng(29))
+    tracemalloc.start()
+    try:
+        evaluate(params, cfg, corpus, Lexicon({"hoe": "OnI", "black": "nOI", "zorp": "OI"}), vocab, "tie")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * 2**20
 
 
 def test_train_step_holds_no_vocabulary_sized_gradient():
@@ -483,10 +551,9 @@ def test_train_step_holds_no_vocabulary_sized_gradient():
 
 def test_evaluate_runs_the_mixing_layer_once_per_call(monkeypatch):
     # every distinct id goes through the encoder's mixing layer once,
-    # whatever the number of batches
+    # whatever the number of blocks
     train_set, test_set, lexicon = small_corpus(n=48)
     test_set = test_set * 12
-    assert len(test_set) > 2 * T.EVAL_BATCH_SIZE
     cfg = small_config()
     vocab = Vocab.build(corpus_from(train_set))
     params = M.init_params(cfg.model_config(len(vocab)), np.random.default_rng(3))
@@ -499,8 +566,12 @@ def test_evaluate_runs_the_mixing_layer_once_per_call(monkeypatch):
         return mix(x, w, b, *args, **kwargs)
 
     monkeypatch.setattr(A, "mix", counting_mix)
+    blocks = []
+    factual_pass = M.ccdf_forward
+    monkeypatch.setattr(M, "ccdf_forward", lambda params, block: blocks.append(block) or factual_pass(params, block))
     _, records = evaluate(params, cfg, corpus_from(test_set), lexicon, vocab, "tie")
     assert len(records) == len(test_set)
+    assert len(blocks) > 2
     assert len(mixing) == 1
 
 
@@ -542,7 +613,7 @@ def test_predict_batch_makes_no_copy_of_the_sentence_tensor():
     x_ids[np.arange(lx) >= rng.integers(100, lx + 1, (n, 1))] = 0
     b_ids[np.arange(lb) >= rng.integers(1, lb + 1, (n, 1))] = 0
     batch = EncodedBatch(x_ids=x_ids, b_ids=b_ids, labels=rng.integers(0, 2, n))
-    scoring = T.scoring_params(M.init_params(cfg, rng), [batch])
+    scoring = T.scoring_params(M.init_params(cfg, rng), batch)
     tracemalloc.start()
     try:
         predict_batch(scoring, batch, MODE_SPECS["ccdf"])
