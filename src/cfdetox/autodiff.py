@@ -159,13 +159,23 @@ def embed(ids: np.ndarray, table: Value) -> Value:
     return _node(out_data, (table,), "embed", backward_fn)
 
 
+# rows per partial product of an affine weight gradient: BLAS splits one
+# long reduction over rows differently at different thread counts, so the
+# gradient is summed in order over products this short, the same bits at any
+AFFINE_GRAD_ROWS = 256
+
+
 def _affine_backward(x: Value, x2: np.ndarray, w: Value, b: Value, g: np.ndarray) -> None:
     """Accumulate the gradients of ``x2 @ w + b``, ``x2`` the rows of ``x``."""
     g2 = g.reshape(-1, w.data.shape[1])
     if x.requires_grad:
         x.accumulate((g2 @ w.data.T).reshape(x.data.shape))
     if w.requires_grad:
-        w.accumulate(x2.T @ g2)
+        k = AFFINE_GRAD_ROWS
+        gw = x2[:k].T @ g2[:k]
+        for start in range(k, len(x2), k):
+            gw += x2[start : start + k].T @ g2[start : start + k]
+        w.accumulate(gw)
     if b.requires_grad:
         b.accumulate(g2.sum(axis=0))
 

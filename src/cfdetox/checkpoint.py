@@ -26,6 +26,9 @@ from cfdetox.errors import ParseError, ShapeError
 
 MAGIC = b"CFDX"
 VERSION = 1
+# files written before the model had one invariant response store it twice,
+# bit-equal, under these names
+TWIN_RESPONSES = ("const.c_e", "const.c_x")
 
 
 def save_arrays(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
@@ -99,7 +102,9 @@ def load_params(path: str | Path, expect_shapes: dict[str, tuple[int, ...]] | No
     """Load a checkpoint into trainable Values wrapping the arrays read.
 
     A non-finite value raises ParseError naming the first parameter, in
-    file order, that holds one.  When ``expect_shapes`` is given (e.g.
+    file order, that holds one.  Bit-equal ``TWIN_RESPONSES`` load as the
+    one ``const.c``, keeping name order; unequal ones, one alone, or either
+    beside ``const.c`` raise ParseError.  When ``expect_shapes`` is given (e.g.
     derived from a vocabulary and a model config), any missing name or
     shape disagreement raises ShapeError.
     """
@@ -108,6 +113,13 @@ def load_params(path: str | Path, expect_shapes: dict[str, tuple[int, ...]] | No
         if not np.isfinite(arr).all():
             index = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
             raise ParseError(path, 1, f"parameter {name!r} holds {arr[index]} at index {index}")
+    if any(name in arrays for name in TWIN_RESPONSES):
+        twins = [(arr.shape, arr.tobytes()) for name, arr in arrays.items() if name in TWIN_RESPONSES]
+        if "const.c" in arrays or len(twins) != 2 or twins[0] != twins[1]:
+            raise ParseError(path, 1, f"invariant responses {TWIN_RESPONSES} load as 'const.c' only "
+                                      "when both are present, bit-equal and without 'const.c'")
+        arrays = {("const.c" if name == "const.c_e" else name): arr
+                  for name, arr in arrays.items() if name != "const.c_x"}
     if expect_shapes is not None:
         for name, shape in expect_shapes.items():
             if name not in arrays:

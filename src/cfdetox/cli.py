@@ -157,6 +157,7 @@ def _write_config(path: Path, config: TrainConfig) -> None:
 
 def _load_checkpoint(checkpoint_path: str):
     path = Path(checkpoint_path)
+    open(path, "rb").close()  # a missing or directory checkpoint is named before the files beside it
     vocab = D.Vocab.load(path.parent / VOCAB_FILE)
     config = TrainConfig(**_parse_config_file(path.parent / CONFIG_FILE))
     spec = config.spec

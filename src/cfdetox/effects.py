@@ -38,7 +38,7 @@ def effects(factual: ScenarioLogits, counterfactual: ScenarioLogits, reference: 
     """The three effects of the bias input on the fused score.
 
     ``factual`` is the evaluation with every head live; ``counterfactual``
-    blocks the ensemble and sentence heads at their invariant responses
+    blocks the ensemble and sentence heads at the invariant response
     on the same bias input; ``reference`` blocks them too and feeds the
     no-treatment (NOBIAS) bias input.  te = factual - reference,
     nde = counterfactual - reference (the bias-only shift, which never

@@ -6,7 +6,7 @@ bias token query the sentence; three independent MLP heads score the
 ensemble feature, the pooled sentence, and the pooled bias tokens; a
 harmonic product fusion combines the three 2-class score vectors.  In the
 counterfactual scenario the ensemble and sentence heads are blocked and
-answer with their trainable invariant responses.
+both answer with one trainable invariant response.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from cfdetox.errors import ContractError
 # positive domain the fusion is exact
 FUSION_GUARD_EPS = 1e-12
 
-# starting point for the invariant responses c_e/c_x; must be nonzero or
-# tanh(0) pins the counterfactual product onto the guard's zero-gradient
-# side and the responses can never train
+# starting point for the invariant response c; must be nonzero or tanh(0)
+# pins the counterfactual product onto the guard's zero-gradient side and
+# the response can never train
 INVARIANT_RESPONSE_INIT = 0.5
 
 N_CLASSES = 2
@@ -60,8 +60,8 @@ class DropoutCtx:
 class ScenarioLogits:
     """Per-branch 2-class scores plus their fusion, [batch, 2] each.
 
-    In the counterfactual scenario ``y_e`` and ``y_x`` are the tiled
-    invariant responses, exactly equal across examples.  A training mode
+    In the counterfactual scenario ``y_e`` and ``y_x`` are one tiled
+    invariant response, exactly equal across examples.  A training mode
     without some head (see :mod:`cfdetox.training`) leaves its score, and
     the fusion when it has fewer than two heads, as None.
     """
@@ -89,8 +89,7 @@ def param_shapes(cfg: ModelConfig, branches: tuple[str, ...] = BRANCHES, consts:
         shapes[f"branch.{br}.w2"] = (cfg.hidden, N_CLASSES)
         shapes[f"branch.{br}.b2"] = (N_CLASSES,)
     if consts:
-        shapes["const.c_e"] = (N_CLASSES,)
-        shapes["const.c_x"] = (N_CLASSES,)
+        shapes["const.c"] = (N_CLASSES,)
     return shapes
 
 
@@ -102,9 +101,9 @@ def init_params(
 ) -> dict[str, Value]:
     """Fresh trainable parameters.
 
-    The invariant responses start at 0.5 per class, not 0: tanh(0) would
+    The invariant response starts at 0.5 per class, not 0: tanh(0) would
     zero the counterfactual product exactly on the fusion guard, whose
-    subgradient is 0, so zero-initialized responses could never train.
+    subgradient is 0, so a zero-initialized response could never train.
     """
     d, h = cfg.embed_dim, cfg.hidden
     params: dict[str, Value] = {
@@ -125,8 +124,7 @@ def init_params(
         params[f"branch.{br}.w2"] = A.param(np.zeros((h, N_CLASSES)), f"branch.{br}.w2")
         params[f"branch.{br}.b2"] = A.param(np.ones(N_CLASSES), f"branch.{br}.b2")
     if consts:
-        params["const.c_e"] = A.param(np.full(N_CLASSES, INVARIANT_RESPONSE_INIT), "const.c_e")
-        params["const.c_x"] = A.param(np.full(N_CLASSES, INVARIANT_RESPONSE_INIT), "const.c_x")
+        params["const.c"] = A.param(np.full(N_CLASSES, INVARIANT_RESPONSE_INIT), "const.c")
     return params
 
 
@@ -220,17 +218,16 @@ def branch_forward(
 def counterfactual_logits(params: dict[str, Value], y_b: Value) -> ScenarioLogits:
     """The counterfactual scenario for a bias score ``y_b`` [batch, 2].
 
-    The ensemble and sentence heads are blocked and answer with the
-    invariant responses c_e/c_x, tiled over the batch.  This is the only
+    The ensemble and sentence heads are blocked and both answer with the
+    invariant response c, tiled over the batch once.  This is the only
     constructor of the counterfactual scenario: with the factual pass's
     ``y_b`` it gives the counterfactual on the same input, with the bias
     head's score of the NOBIAS input the te reference.  Either way it never
     touches the sentence path, so it is exactly invariant to the sentence.
     """
     n = y_b.data.shape[0]
-    y_e = A.tile_rows(params["const.c_e"], n)
-    y_x = A.tile_rows(params["const.c_x"], n)
-    return ScenarioLogits(y_e=y_e, y_x=y_x, y_b=y_b, fused=fuse(y_e, y_x, y_b), scenario="counterfactual")
+    c = A.tile_rows(params["const.c"], n)
+    return ScenarioLogits(y_e=c, y_x=c, y_b=y_b, fused=fuse(c, c, y_b), scenario="counterfactual")
 
 
 def ccdf_forward(

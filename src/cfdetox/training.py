@@ -47,7 +47,7 @@ class ModeSpec:
     """
 
     branches: tuple[str, ...]  # MLP heads, in checkpoint order
-    invariant_responses: bool = False  # const.c_e/const.c_x exist and are trained
+    invariant_responses: bool = False  # const.c exists and is trained
     rules: tuple[str, ...] = ("factual",)  # inference rules the checkpoint supports
     selection_rule: str = "factual"  # rule whose validation F1 picks the checkpoint
     mask_bias: bool = False  # training batches replace lexicon matches by UNK
@@ -149,12 +149,12 @@ def _sum_terms(terms: dict[str, Value]) -> Value:
 
 
 def invariant_response_loss(logits: ScenarioLogits, params: dict[str, Value], labels: np.ndarray) -> Value:
-    """Calibration term for the invariant responses c_e/c_x.
+    """Calibration term for the invariant response c.
 
     Cross-entropy of the counterfactual fusion built from the tiled
-    responses and the *detached* bias score: its gradient reaches only
-    const.c_e and const.c_x, so the four-term loss contract and the
-    gradient-stop guarantee are untouched.
+    response and the *detached* bias score: its gradient reaches only
+    const.c, so the four-term loss contract and the gradient-stop
+    guarantee are untouched.
     """
     counterfactual = M.counterfactual_logits(params, A.stop_gradient(logits.y_b))
     return A.cross_entropy(counterfactual.fused, _check_labels(labels))

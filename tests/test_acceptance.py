@@ -190,7 +190,7 @@ def test_gradient_checks(monkeypatch):
 
         logits = M.ccdf_forward(params, batch)
         z = np.tanh(logits.y_e.data) * np.tanh(logits.y_x.data) * np.tanh(logits.y_b.data)
-        z_cf = (np.tanh(params["const.c_e"].data) * np.tanh(params["const.c_x"].data)
+        z_cf = (np.tanh(params["const.c"].data) * np.tanh(params["const.c"].data)
                 * np.tanh(logits.y_b.data))
         if min(np.abs(z).min(), np.abs(z_cf).min()) < 1e-3:
             skipped += 1  # a +-1e-5 probe could cross the fusion guard's kink

@@ -83,6 +83,30 @@ def test_unexpected_parameter_is_shape_error(tmp_path):
         load_params(tmp_path / "model.bin", expect_shapes={"a": (2,)})
 
 
+
+def test_bit_equal_twin_responses_load_as_const_c(tmp_path):
+    cfg = ModelConfig(vocab_size=9, embed_dim=4, hidden=5)
+    arrays = {name: v.data for name, v in init_params(cfg, np.random.default_rng(0)).items()}
+    c = arrays.pop("const.c") + 0.25
+    save_arrays(tmp_path / "model.bin", {**arrays, "const.c_e": c, "const.c_x": c.copy()})
+    loaded = load_params(tmp_path / "model.bin", expect_shapes=param_shapes(cfg))
+    assert list(loaded) == sorted(param_shapes(cfg))
+    assert loaded["const.c"].data.tobytes() == c.tobytes()
+
+
+@pytest.mark.parametrize("records", [
+    {"const.c_e": [0.5, 0.5]},
+    {"const.c_e": [0.5, 0.5], "const.c_x": [0.5, 0.5 + 1e-12]},
+    {"const.c_e": [0.5, 0.5], "const.c_x": [0.5, 0.5, 0.5]},
+    {"const.c_e": [0.0, 0.5], "const.c_x": [-0.0, 0.5]},
+    {"const.c": [0.5, 0.5], "const.c_e": [0.5, 0.5], "const.c_x": [0.5, 0.5]},
+])
+def test_twin_responses_that_are_not_one_response_are_parse_errors(tmp_path, records):
+    save_arrays(tmp_path / "model.bin", {name: np.array(v) for name, v in records.items()})
+    with pytest.raises(ParseError, match=re.escape(f"{tmp_path / 'model.bin'}:1: ")):
+        load_params(tmp_path / "model.bin")
+
+
 def test_format_layout_is_as_documented(tmp_path):
     # magic, version+count, then (name_len, name, rank, dims, data)
     path = tmp_path / "ck.bin"

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import shutil
@@ -78,10 +79,35 @@ def test_gen_reports_cooccurrence_near_half(tmp_path, capsys):
     assert 0.45 <= rate <= 0.55
 
 
-def _run_cli(*argv, cwd):
-    env = dict(os.environ, PYTHONPATH=str(Path(cfdetox.__file__).parents[1]))
+def _run_cli(*argv, cwd, **env_vars):
+    env = dict(os.environ, PYTHONPATH=str(Path(cfdetox.__file__).parents[1]), **env_vars)
     return subprocess.run([sys.executable, "-m", "cfdetox.cli", *argv],
                           cwd=cwd, env=env, capture_output=True, text=True)
+
+
+
+def test_training_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 110 filler words per sentence give the encoder's weight gradient about
+    # 8 x 115 rows per step, a reduction OpenBLAS splits differently on one
+    # thread than on two unless it is summed in short in-order products
+    assert _run_cli("gen", "--seed", "5", "--out", "data", "--n-train", "40", "--n-test", "10",
+                    cwd=tmp_path).returncode == 0
+    rng = np.random.default_rng(0)
+    words = np.array(["".join(w) for w in itertools.product("bdfgklmnpr", "aeiou", "stvz")])
+    for path in (tmp_path / "data").glob("*.jsonl"):
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        for row in rows:
+            tokens = row["text"].split() + list(rng.choice(words, size=110))
+            rng.shuffle(tokens)
+            row["text"] = " ".join(tokens)
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    checkpoints = []
+    for threads in ("1", "2"):
+        proc = _run_cli("train", "--data", "data", "--out", f"run{threads}", "--epochs", "1",
+                        cwd=tmp_path, OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        checkpoints.append((tmp_path / f"run{threads}" / "model.bin").read_bytes())
+    assert checkpoints[0] == checkpoints[1]
 
 
 def test_gen_split_without_toxic_example_prints_na(tmp_path):
@@ -465,6 +491,66 @@ def test_infer_checkpoint_with_a_repeated_record_is_validation_error(run_dir, co
     assert out == ""
     assert err == (f"error: {clone / 'model.bin'}:1: record 'branch.b.b2' follows 'branch.b.b2': "
                    "names must be unique and sorted\n")
+
+
+
+def _twin_response_run(run_dir, dest, c_x_shift=0.0, keep_c=False):
+    """A copy of ``run_dir`` in the format written before the model had one
+    invariant response: ``const.c`` stored as ``const.c_e`` and ``const.c_x``."""
+    clone = _clone_run(run_dir, dest)
+    arrays = load_arrays(clone / "model.bin")
+    c = arrays["const.c"] if keep_c else arrays.pop("const.c")
+    arrays["const.c_e"], arrays["const.c_x"] = c.copy(), c + c_x_shift
+    save_arrays(clone / "model.bin", arrays)
+    return clone
+
+
+def test_eval_of_a_twin_response_run_is_byte_identical(run_dir, corpus_dir, tmp_path, capsys):
+    # bit-equal c_e and c_x give tanh(c_e) * tanh(c_x) = tanh(c) * tanh(c), so the old
+    # format scores exactly as the one-response checkpoint it loads as
+    twin = _twin_response_run(run_dir, tmp_path / "twin")
+    outputs = []
+    for ckpt in (run_dir, twin):
+        out, records = tmp_path / f"{ckpt.name}-report.json", tmp_path / f"{ckpt.name}-records.jsonl"
+        assert main(["eval", "--checkpoint", str(ckpt / "model.bin"),
+                     "--data", str(corpus_dir / "test_flipped.jsonl"),
+                     "--ood-data", str(corpus_dir / "test_iid.jsonl"),
+                     "--lexicon", str(corpus_dir / "lexicon.csv"),
+                     "--out", str(out), "--records", str(records)]) == 0
+        outputs.append((out.read_bytes(), records.read_bytes()))
+    capsys.readouterr()
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["eval", "infer"])
+@pytest.mark.parametrize("case", ["unequal", "beside_c"])
+def test_twin_responses_that_are_not_one_response_are_validation_errors(
+        run_dir, corpus_dir, tmp_path, capsys, command, case):
+    twin = _twin_response_run(run_dir, tmp_path / "twin", c_x_shift=1e-12 if case == "unequal" else 0.0,
+                              keep_c=case == "beside_c")
+    extra = ["--data", str(corpus_dir / "test_flipped.jsonl")] if command == "eval" else ["--text", "zorp"]
+    rc = main([command, "--checkpoint", str(twin / "model.bin"),
+               "--lexicon", str(corpus_dir / "lexicon.csv"), *extra])
+    assert rc == 1
+    _assert_one_line_error(capsys, f"error: {twin / 'model.bin'}:1: invariant responses")
+
+
+@pytest.mark.parametrize("command", ["eval", "infer"])
+@pytest.mark.parametrize("case", ["directory", "directory_beside_run_files", "missing"])
+def test_checkpoint_errors_name_the_path_given(run_dir, corpus_dir, tmp_path, capsys, command, case):
+    # vocab.txt and config.txt beside the checkpoint used to be read first, so a
+    # directory or missing checkpoint was reported as a missing vocab.txt
+    if case == "directory_beside_run_files":
+        checkpoint = _clone_run(run_dir, tmp_path / "clone") / "stock"
+    else:
+        checkpoint = tmp_path / "stock"
+    if case != "missing":
+        checkpoint.mkdir()
+    extra = ["--data", str(corpus_dir / "test_flipped.jsonl")] if command == "eval" else ["--text", "zorp"]
+    rc = main([command, "--checkpoint", str(checkpoint), "--lexicon", str(corpus_dir / "lexicon.csv"), *extra])
+    assert rc == 2
+    reason = "No such file or directory" if case == "missing" else "Is a directory"
+    _assert_one_line_error(capsys, f"{reason}: '{checkpoint}'")
 
 
 def test_infer_record(run_dir, corpus_dir, capsys):

@@ -227,8 +227,8 @@ def test_counterfactual_scores_are_invariant_responses(tiny_params):
     rng = np.random.default_rng(8)
     batch = make_batch(rng, n=3)
     logits = counterfactual_logits(tiny_params, ccdf_forward(tiny_params, batch).y_b)
-    assert (logits.y_e.data == tiny_params["const.c_e"].data).all()
-    assert (logits.y_x.data == tiny_params["const.c_x"].data).all()
+    assert (logits.y_e.data == tiny_params["const.c"].data).all()
+    assert (logits.y_x.data == tiny_params["const.c"].data).all()
     assert logits.scenario == "counterfactual"
 
 
