@@ -26,7 +26,7 @@ from cfdetox import checkpoint as ckpt
 from cfdetox import data as D
 from cfdetox import model as M
 from cfdetox import training as T
-from cfdetox.errors import CfDetoxError, NumericsError, ValidationError, read_text
+from cfdetox.errors import CfDetoxError, NumericsError, ParseError, ValidationError, read_text
 # unused here, match_biased_tokens stays for perfbench/tracer.py to patch
 from cfdetox.lexicon import load_lexicon, match_biased_tokens, save_lexicon
 from cfdetox.metrics import render_table
@@ -117,16 +117,19 @@ def build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 def _parse_config_file(path: Path) -> dict[str, object]:
-    """Typed TrainConfig values from a ``key=value`` file."""
+    """Typed TrainConfig values from a ``key=value`` file, each key at most once."""
     raw: dict[str, str] = {}
+    first: dict[str, int] = {}
     for line_no, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValidationError(f"{path}:{line_no}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        raw[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if first.setdefault(key, line_no) != line_no:
+            raise ParseError(path, line_no, f"config key {key!r} repeats line {first[key]}")
+        raw[key] = value
     defaults = TrainConfig()
     unknown = set(raw) - set(defaults.as_dict())
     if unknown:
@@ -159,10 +162,12 @@ def _load_checkpoint(checkpoint_path: str):
     path = Path(checkpoint_path)
     open(path, "rb").close()  # a missing or directory checkpoint is named before the files beside it
     vocab = D.Vocab.load(path.parent / VOCAB_FILE)
-    config = TrainConfig(**_parse_config_file(path.parent / CONFIG_FILE))
-    spec = config.spec
-    shapes = M.param_shapes(config.model_config(len(vocab)), spec.branches, spec.invariant_responses)
-    params = ckpt.load_params(path, expect_shapes=shapes)
+    values = _parse_config_file(path.parent / CONFIG_FILE)
+    missing = set(TrainConfig().as_dict()) - set(values)
+    if missing:  # train writes every key; a default would stand in for the trained value
+        raise ValidationError(f"{path.parent / CONFIG_FILE}: missing config keys: {sorted(missing)}")
+    config = TrainConfig(**values)
+    params = ckpt.load_params(path, expect_shapes=M.param_shapes(config.model_config(len(vocab))))
     return params, config, vocab
 
 

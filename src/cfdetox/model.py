@@ -40,11 +40,15 @@ ENCODED_INDEX = "encoder.row_index"
 Scenario = Literal["factual", "counterfactual"]
 
 
+BRANCHES = ("e", "x", "b")
+
+
 @dataclass
 class ModelConfig:
     vocab_size: int
     embed_dim: int
     hidden: int
+    branches: tuple[str, ...] = BRANCHES  # MLP heads, in checkpoint order; const.c comes with "e"
 
 
 @dataclass
@@ -73,32 +77,24 @@ class ScenarioLogits:
     scenario: Scenario
 
 
-BRANCHES = ("e", "x", "b")
-
-
-def param_shapes(cfg: ModelConfig, branches: tuple[str, ...] = BRANCHES, consts: bool = True) -> dict[str, tuple[int, ...]]:
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Stable parameter names and shapes (checkpoint schema)."""
     shapes: dict[str, tuple[int, ...]] = {
         "encoder.embed": (cfg.vocab_size, cfg.embed_dim),
         "encoder.mix.w": (cfg.embed_dim, cfg.embed_dim),
         "encoder.mix.b": (cfg.embed_dim,),
     }
-    for br in branches:
+    for br in cfg.branches:
         shapes[f"branch.{br}.w1"] = (cfg.embed_dim, cfg.hidden)
         shapes[f"branch.{br}.b1"] = (cfg.hidden,)
         shapes[f"branch.{br}.w2"] = (cfg.hidden, N_CLASSES)
         shapes[f"branch.{br}.b2"] = (N_CLASSES,)
-    if consts:
+    if "e" in cfg.branches:
         shapes["const.c"] = (N_CLASSES,)
     return shapes
 
 
-def init_params(
-    cfg: ModelConfig,
-    rng: np.random.Generator,
-    branches: tuple[str, ...] = BRANCHES,
-    consts: bool = True,
-) -> dict[str, Value]:
+def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Value]:
     """Fresh trainable parameters.
 
     The invariant response starts at 0.5 per class, not 0: tanh(0) would
@@ -111,7 +107,7 @@ def init_params(
         "encoder.mix.w": A.param(rng.normal(0.0, 1.0 / np.sqrt(d), (d, d)), "encoder.mix.w"),
         "encoder.mix.b": A.param(np.zeros(d), "encoder.mix.b"),
     }
-    for br in branches:
+    for br in cfg.branches:
         # gain 4 compensates the 1/L shrink of mean-pooled inputs, keeping
         # hidden units in tanh's responsive range; zero-initialized output
         # weights start the class scores with no preference, so the few
@@ -123,7 +119,7 @@ def init_params(
         params[f"branch.{br}.b1"] = A.param(np.zeros(h), f"branch.{br}.b1")
         params[f"branch.{br}.w2"] = A.param(np.zeros((h, N_CLASSES)), f"branch.{br}.w2")
         params[f"branch.{br}.b2"] = A.param(np.ones(N_CLASSES), f"branch.{br}.b2")
-    if consts:
+    if "e" in cfg.branches:
         params["const.c"] = A.param(np.full(N_CLASSES, INVARIANT_RESPONSE_INIT), "const.c")
     return params
 

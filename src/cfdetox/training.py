@@ -40,21 +40,21 @@ INFERENCE_RULES = ("tie", "te", "factual")
 class ModeSpec:
     """Everything that differs between training modes.
 
-    The heads decide the forward pass (see :func:`mode_forward`).  Modes
-    with invariant responses have a counterfactual scenario, hence effect
-    records and every inference rule; the others predict from the sentence
-    head alone.
+    The heads decide the forward pass (see :func:`mode_forward`) and the
+    parameters (see :meth:`TrainConfig.model_config`).  A mode with the
+    ensemble head has the invariant response, hence a counterfactual
+    scenario, effect records and every inference rule; the others predict
+    from the sentence head alone.
     """
 
     branches: tuple[str, ...]  # MLP heads, in checkpoint order
-    invariant_responses: bool = False  # const.c exists and is trained
     rules: tuple[str, ...] = ("factual",)  # inference rules the checkpoint supports
     selection_rule: str = "factual"  # rule whose validation F1 picks the checkpoint
     mask_bias: bool = False  # training batches replace lexicon matches by UNK
 
 
 MODE_SPECS: dict[str, ModeSpec] = {
-    "ccdf": ModeSpec(("e", "x", "b"), invariant_responses=True, rules=INFERENCE_RULES, selection_rule="tie"),
+    "ccdf": ModeSpec(("e", "x", "b"), rules=INFERENCE_RULES, selection_rule="tie"),
     "masking": ModeSpec(("x",), mask_bias=True),
     "lmixin": ModeSpec(("x", "b")),
     "vanilla": ModeSpec(("x",)),
@@ -113,7 +113,7 @@ class TrainConfig:
         return MODE_SPECS[self.mode]
 
     def model_config(self, vocab_size: int) -> ModelConfig:
-        return ModelConfig(vocab_size=vocab_size, embed_dim=self.embed_dim, hidden=self.hidden)
+        return ModelConfig(vocab_size, self.embed_dim, self.hidden, self.spec.branches)
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -262,11 +262,11 @@ def _scoring_blocks(batch: EncodedBatch) -> Iterator[tuple[np.ndarray, EncodedBa
 def predict_batch(params: dict[str, Value], batch: EncodedBatch, spec: ModeSpec) -> list[dict]:
     """Inference records for the rows of one encoded batch, in its order (dropout off).
 
-    With invariant responses all three rules come from one sweep: the
-    factual pass, the counterfactual built from its bias score, and the te
-    reference, the counterfactual built from the bias head's score of the
-    NOBIAS input.  Other modes get ``{"factual_label"}`` read off the
-    sentence head.  Each row is scored in one of :func:`_scoring_blocks`,
+    With the ensemble head, hence the invariant response, all three rules
+    come from one sweep: the factual pass, the counterfactual built from
+    its bias score, and the te reference, the counterfactual built from the
+    bias head's score of the NOBIAS input.  Other modes get
+    ``{"factual_label"}`` read off the sentence head.  Each row is scored in one of :func:`_scoring_blocks`,
     so its record has the bits of that row scored alone: a record is a
     function of its example.  Records hold model output only; the caller
     adds ``categories``.  Raw parameters become this batch's
@@ -278,7 +278,7 @@ def predict_batch(params: dict[str, Value], batch: EncodedBatch, spec: ModeSpec)
         return []
     if M.ENCODED_ROWS not in params:
         params = scoring_params(params, batch)
-    if not spec.invariant_responses:
+    if "e" not in spec.branches:
         scores = np.empty((n, M.N_CLASSES))
         for rows, block in _scoring_blocks(batch):
             scores[rows] = sentence_branch_forward(params, block).data[: len(rows)]
@@ -379,7 +379,7 @@ def _train_step(
             logits = mode_forward(spec, params, batch, drop)
             terms = loss_terms(logits, batch.labels)
             loss = _sum_terms(terms)
-            if spec.invariant_responses:
+            if "e" in spec.branches:
                 loss = A.add(loss, invariant_response_loss(logits, params, batch.labels))
         except DomainError as exc:
             raise NumericsError(f"non-finite values in the forward pass at step {step}: {exc}") from exc
@@ -412,12 +412,7 @@ def train(
     seed_seq = np.random.SeedSequence(config.seed)
     init_seq, shuffle_seq = seed_seq.spawn(2)
     spec = config.spec
-    params = M.init_params(
-        config.model_config(len(vocab)),
-        np.random.Generator(np.random.PCG64(init_seq)),
-        branches=spec.branches,
-        consts=spec.invariant_responses,
-    )
+    params = M.init_params(config.model_config(len(vocab)), np.random.Generator(np.random.PCG64(init_seq)))
     opt = AdamWState(
         lr=config.learning_rate,
         beta1=config.beta1,

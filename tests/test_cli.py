@@ -197,6 +197,16 @@ def test_config_file_skips_leading_byte_order_mark(tmp_path):
     assert _parse_config_file(cfg) == {"epochs": 2}
 
 
+def test_train_config_key_given_twice_is_validation_error(corpus_dir, tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("epochs=1\n# again\nepochs=2\n", encoding="utf-8")
+    out = tmp_path / "r"
+    rc = main(["train", "--data", str(corpus_dir), "--out", str(out), "--config", str(cfg), *TINY_TRAIN[2:]])
+    assert rc == 1
+    _assert_one_line_error(capsys, f"{cfg}:3: config key 'epochs' repeats line 1")
+    assert not out.exists()
+
+
 def test_train_unknown_config_key(corpus_dir, tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("warp_speed=9\n", encoding="utf-8")
@@ -449,6 +459,29 @@ def test_eval_non_numeric_checkpoint_config_is_validation_error(run_dir, corpus_
         err = capsys.readouterr().err
         assert "lx='abc'" in err
         assert len(err.strip().splitlines()) == 1
+
+
+def _drop_lx_and_dropout(lines):
+    return [line for line in lines if not line.startswith(("lx=", "dropout="))], ": missing config keys: ['dropout', 'lx']"
+
+
+def _repeat_lx(lines):
+    first = next(i for i, line in enumerate(lines, start=1) if line.startswith("lx="))
+    return lines + ["lx=12\n"], f":{len(lines) + 1}: config key 'lx' repeats line {first}"
+
+
+@pytest.mark.parametrize("edit", [_drop_lx_and_dropout, _repeat_lx])
+@pytest.mark.parametrize("command", ["eval", "infer"])
+def test_checkpoint_config_must_name_each_key_once(run_dir, corpus_dir, tmp_path, capsys, command, edit):
+    # a key left out would load its default, not the value the run trained with
+    clone = _clone_run(run_dir, tmp_path / "clone")
+    lines, suffix = edit((clone / "config.txt").read_text(encoding="utf-8").splitlines(keepends=True))
+    (clone / "config.txt").write_text("".join(lines), encoding="utf-8")
+    argv = ["--data", str(corpus_dir / "test_iid.jsonl")] if command == "eval" else ["--text", "hi"]
+    rc = main([command, *argv, "--checkpoint", str(clone / "model.bin"),
+               "--lexicon", str(corpus_dir / "lexicon.csv")])
+    assert rc == 1
+    _assert_one_line_error(capsys, f"{clone / 'config.txt'}{suffix}")
 
 
 def test_eval_truncated_checkpoint_is_validation_error(run_dir, corpus_dir, tmp_path, capsys):

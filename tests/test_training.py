@@ -145,7 +145,9 @@ def test_invariant_response_loss_reaches_only_the_responses(tiny_params):
 # ---------------------------------------------------------------------------
 
 def test_branches_per_mode():
-    table = {mode: (spec.branches, spec.invariant_responses, spec.rules, spec.selection_rule, spec.mask_bias)
+    # the middle column is whether the mode's parameters hold the invariant response
+    table = {mode: (spec.branches, "const.c" in M.param_shapes(TrainConfig(mode=mode).model_config(20)),
+                    spec.rules, spec.selection_rule, spec.mask_bias)
              for mode, spec in MODE_SPECS.items()}
     assert table == {
         "ccdf": (("e", "x", "b"), True, ("tie", "te", "factual"), "tie", False),
@@ -153,6 +155,21 @@ def test_branches_per_mode():
         "vanilla": (("x",), False, ("factual",), "factual", False),
         "masking": (("x",), False, ("factual",), "factual", True),
     }
+
+
+@pytest.mark.parametrize("mode", list(MODE_SPECS))
+def test_model_config_carries_the_modes_schema(mode):
+    # one ModelConfig names the heads, so the schema a run is loaded against
+    # is the one it was trained with, const.c included iff the mode has tie
+    spec = MODE_SPECS[mode]
+    cfg = TrainConfig(mode=mode, embed_dim=4, hidden=3).model_config(9)
+    assert cfg.branches == spec.branches
+    shapes = M.param_shapes(cfg)
+    params = M.init_params(cfg, np.random.default_rng(0))
+    assert list(shapes.items()) == [(name, p.data.shape) for name, p in params.items()]
+    assert ("const.c" in shapes) == ("tie" in spec.rules)
+    heads = [name for name in shapes if name.startswith("branch.")]
+    assert heads == [f"branch.{br}.{w}" for br in spec.branches for w in ("w1", "b1", "w2", "b2")]
 
 
 def test_mode_forward_loss_terms_per_mode(tiny_params):
@@ -274,8 +291,8 @@ def test_train_aborts_on_non_finite_loss(monkeypatch):
 
     original = M.init_params
 
-    def poisoned(cfg, rng, branches=M.BRANCHES, consts=True):
-        params = original(cfg, rng, branches=branches, consts=consts)
+    def poisoned(cfg, rng):
+        params = original(cfg, rng)
         params["encoder.embed"].data[0, 0] = np.nan
         return params
 
@@ -363,8 +380,8 @@ def test_predict_batch_records_no_graph(monkeypatch, mode):
     # inference on trainable parameters must not allocate a single
     # backward closure; the same forward in training does
     spec = MODE_SPECS[mode]
-    cfg = M.ModelConfig(vocab_size=11, embed_dim=5, hidden=6)
-    params = M.init_params(cfg, np.random.default_rng(12), spec.branches, spec.invariant_responses)
+    cfg = TrainConfig(mode=mode, embed_dim=5, hidden=6).model_config(11)
+    params = M.init_params(cfg, np.random.default_rng(12))
     batch = make_batch(np.random.default_rng(13), n=3, vocab_size=11)
     nodes = []
     make_node = A._node
