@@ -241,7 +241,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     train_set = D.load_jsonl(data_dir / "train.jsonl")
     valid_set = D.load_jsonl(data_dir / "valid.jsonl")
     lexicon = load_lexicon(data_dir / "lexicon.csv")
-    run_dir.mkdir(parents=True, exist_ok=True)
+    run_dir.mkdir(parents=True, exist_ok=bool(args.out))  # a timestamped default is never reused
     _write_config(run_dir / CONFIG_FILE, config)
     result = T.train(config, train_set, valid_set, lexicon)
     result.vocab.save(run_dir / VOCAB_FILE)
@@ -319,7 +319,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
     encoder = D.CorpusEncoder(corpus, lexicon, vocab, config.lx, config.lb)
     matched = encoder.matches(0)
     record = T.predict_batch(params, D.encode_batch(encoder, [0]), config.spec)[0]
-    record["categories"] = sorted(matched.categories)
+    record["categories"] = encoder.categories()[0]
     record["text"] = args.text
     record["biased_tokens"] = [
         {"token": tok, "category": lexicon.category(tok)} for tok in matched.tokens
@@ -339,8 +339,8 @@ def main(argv: list[str] | None = None) -> int:
     except NumericsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, CfDetoxError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CfDetoxError, MemoryError) as exc:  # numpy's MemoryError names the allocation; a bare one is empty
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

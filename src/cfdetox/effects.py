@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from cfdetox.errors import ContractError
-from cfdetox.model import ScenarioLogits
 
 
 @dataclass(frozen=True)
@@ -34,33 +33,25 @@ def argmax_labels(scores: np.ndarray) -> list[int]:
     return (scores[:, 1] > scores[:, 0]).astype(np.int64).tolist()
 
 
-def effects(factual: ScenarioLogits, counterfactual: ScenarioLogits, reference: ScenarioLogits) -> EffectBundle:
+def effects(factual: np.ndarray, counterfactual: np.ndarray, reference: np.ndarray) -> EffectBundle:
     """The three effects of the bias input on the fused score.
 
-    ``factual`` is the evaluation with every head live; ``counterfactual``
+    ``factual`` is the fused score with every head live; ``counterfactual``
     blocks the ensemble and sentence heads at the invariant response
     on the same bias input; ``reference`` blocks them too and feeds the
     no-treatment (NOBIAS) bias input.  te = factual - reference,
     nde = counterfactual - reference (the bias-only shift, which never
     depends on the sentence) and tie = factual - counterfactual, which
-    equals te - nde up to rounding.  All three fused arrays must share
-    one shape.
+    equals te - nde up to rounding.  The three must share one shape.
     """
-    expected = (("factual", factual, "factual"), ("counterfactual", counterfactual, "counterfactual"),
-                ("reference", reference, "counterfactual"))
-    for name, logits, scenario in expected:
-        if logits.scenario != scenario:
-            raise ContractError(f"effects: {name} must be a {scenario} evaluation, got {logits.scenario!r}")
-    f, cf, ref = factual.fused.data, counterfactual.fused.data, reference.fused.data
-    if not f.shape == cf.shape == ref.shape:
-        raise ContractError(f"effects: scenario shape mismatch: {f.shape}, {cf.shape}, {ref.shape}")
-    return EffectBundle(te=f - ref, nde=cf - ref, tie=f - cf)
+    if not factual.shape == counterfactual.shape == reference.shape:
+        raise ContractError(f"effects: scenario shape mismatch: {factual.shape}, {counterfactual.shape}, "
+                            f"{reference.shape}")
+    return EffectBundle(te=factual - reference, nde=counterfactual - reference, tie=factual - counterfactual)
 
 
-def inference_records(
-    factual: ScenarioLogits, counterfactual: ScenarioLogits, reference: ScenarioLogits
-) -> list[dict]:
-    """Per-example inference records for a batch.
+def inference_records(factual: np.ndarray, counterfactual: np.ndarray, reference: np.ndarray) -> list[dict]:
+    """Per-example inference records for a batch of fused scores.
 
     Each record carries the fused factual and counterfactual vectors, the
     tie vector and the te/tie/factual labels.  These are model output
@@ -70,8 +61,7 @@ def inference_records(
     bundle = effects(factual, counterfactual, reference)
     if bundle.tie.ndim != 2:
         raise ContractError("inference_records needs three aligned [batch, 2] evaluations")
-    f, cf = factual.fused.data, counterfactual.fused.data
     keys = ("fused_factual", "fused_counterfactual", "tie", "te_label", "tie_label", "factual_label")
-    columns = (f.tolist(), cf.tolist(), bundle.tie.tolist(),
-               argmax_labels(bundle.te), argmax_labels(bundle.tie), argmax_labels(f))
+    columns = (factual.tolist(), counterfactual.tolist(), bundle.tie.tolist(),
+               argmax_labels(bundle.te), argmax_labels(bundle.tie), argmax_labels(factual))
     return [dict(zip(keys, row)) for row in zip(*columns)]

@@ -269,15 +269,14 @@ def predict_batch(params: dict[str, Value], batch: EncodedBatch, spec: ModeSpec)
     ``{"factual_label"}`` read off the sentence head.  Each row is scored in one of :func:`_scoring_blocks`,
     so its record has the bits of that row scored alone: a record is a
     function of its example.  Records hold model output only; the caller
-    adds ``categories``.  Raw parameters become this batch's
-    :func:`scoring_params`; either way they are constant leaves, so no op
-    records a backward closure.
+    adds ``categories``.  The parameters become this batch's
+    :func:`scoring_params`, constant leaves, so no op records a backward
+    closure.
     """
     n = len(batch.labels)
     if not n:
         return []
-    if M.ENCODED_ROWS not in params:
-        params = scoring_params(params, batch)
+    params = scoring_params(params, batch)
     if "e" not in spec.branches:
         scores = np.empty((n, M.N_CLASSES))
         for rows, block in _scoring_blocks(batch):
@@ -288,15 +287,15 @@ def predict_batch(params: dict[str, Value], batch: EncodedBatch, spec: ModeSpec)
         block_logits = M.ccdf_forward(params, block)
         y_b[rows] = block_logits.y_b.data[: len(rows)]
         fused[rows] = block_logits.fused.data[: len(rows)]
-    factual = ScenarioLogits(y_e=None, y_x=None, y_b=A.const(y_b), fused=A.const(fused), scenario="factual")
     # the te reference has no sentence input, so one block of the first row's NOBIAS twin gives every row's
     _, nobias = next(_scoring_blocks(nobias_batch(EncodedBatch(batch.x_ids[:1], batch.b_ids[:1], batch.labels[:1]))))
     bh = M.encode(nobias.b_ids, params, site="enc_b")
     y_b_reference = M.bias_head(bh, nobias.b_mask, params).data[0]
     # the counterfactual fusion is elementwise in the bias score, and an elementwise op gives
     # an element the same bits at any place in any array, so both run once over the batch
-    return inference_records(factual, M.counterfactual_logits(params, factual.y_b),
-                             M.counterfactual_logits(params, A.const(np.broadcast_to(y_b_reference, y_b.shape))))
+    counterfactual, reference = (M.counterfactual_logits(params, A.const(score)).fused.data
+                                 for score in (y_b, np.broadcast_to(y_b_reference, y_b.shape)))
+    return inference_records(fused, counterfactual, reference)
 
 
 def evaluate(

@@ -174,13 +174,14 @@ def total_loss(logits: ScenarioLogits, labels: np.ndarray) -> Value:
     return _sum_terms(loss_terms(logits, labels))
 
 
-def ccdf_scenarios(params: dict[str, Value], batch: EncodedBatch) -> tuple[ScenarioLogits, ...]:
-    """(factual, counterfactual, reference) for one batch, as inference
-    builds them: both counterfactuals come from a factual pass's bias
-    score, of the batch and of its NOBIAS twin."""
+def ccdf_scenarios(params: dict[str, Value], batch: EncodedBatch) -> tuple[np.ndarray, ...]:
+    """Fused (factual, counterfactual, reference) scores of one batch, as
+    inference builds them: both counterfactuals come from a factual pass's
+    bias score, of the batch and of its NOBIAS twin."""
     factual = ccdf_forward(params, batch)
     reference_y_b = ccdf_forward(params, nobias_batch(batch)).y_b
-    return factual, counterfactual_logits(params, factual.y_b), counterfactual_logits(params, reference_y_b)
+    return (factual.fused.data, counterfactual_logits(params, factual.y_b).fused.data,
+            counterfactual_logits(params, reference_y_b).fused.data)
 
 
 def alone(batch: EncodedBatch, i: int) -> EncodedBatch:
@@ -198,12 +199,10 @@ def records_alone(params: dict[str, Value], batch: EncodedBatch) -> list[dict]:
             for i in range(len(batch.labels))]
 
 
-def inference_records_reference(factual: ScenarioLogits, counterfactual: ScenarioLogits,
-                                reference: ScenarioLogits) -> list[dict]:
+def inference_records_reference(f: np.ndarray, cf: np.ndarray, reference: np.ndarray) -> list[dict]:
     """``effects.inference_records`` as it was before it read whole
     arrays: each record built row by row."""
-    bundle = effects(factual, counterfactual, reference)
-    f, cf = factual.fused.data, counterfactual.fused.data
+    bundle = effects(f, cf, reference)
 
     def label(score: np.ndarray) -> int:
         return int(score[1] > score[0])
@@ -221,12 +220,6 @@ def inference_records_reference(factual: ScenarioLogits, counterfactual: Scenari
     ]
 
 
-def scenario_logits(fused, scenario: str) -> ScenarioLogits:
-    """Fused scores wrapped as one scenario's evaluation."""
-    v = A.const(np.asarray(fused, dtype=np.float64))
-    return ScenarioLogits(y_e=None, y_x=None, y_b=v, fused=v, scenario=scenario)
-
-
 def graph_effects(live, blocked, y_b, y_b_star) -> EffectBundle:
     """``effects`` for one example of a causal graph built on the numpy fusion.
 
@@ -235,11 +228,8 @@ def graph_effects(live, blocked, y_b, y_b_star) -> EffectBundle:
     drops the ensemble (no_Fe) or sentence (no_Fx) head.  ``y_b_star`` is
     the bias head's response to the NOBIAS input.
     """
-    return effects(
-        scenario_logits(harmonic_fusion([*live, y_b]), "factual"),
-        scenario_logits(harmonic_fusion([*blocked, y_b]), "counterfactual"),
-        scenario_logits(harmonic_fusion([*blocked, y_b_star]), "counterfactual"),
-    )
+    return effects(harmonic_fusion([*live, y_b]), harmonic_fusion([*blocked, y_b]),
+                   harmonic_fusion([*blocked, y_b_star]))
 
 
 def gradcheck(

@@ -267,6 +267,7 @@ def test_log_softmax_gradient_matches_finite_differences():
 
 
 @pytest.mark.parametrize("op_name", ["tanh", "log", "softmax", "mul", "add", "sub",
+                                     "mul_column", "add_column", "sub_column",
                                      "affine", "matmul", "matmul_t", "mean_pool",
                                      "embed", "cross_entropy", "tile_rows", "clamp_min"])
 def test_primitive_gradients_match_finite_differences(op_name):
@@ -291,17 +292,11 @@ def _gradcheck_primitive(op_name, rng):
         mask = np.ones((n, m)); mask[0, 2:] = 0
         build = lambda: _reduce(A.softmax(x, axis=-1, mask=mask))
         leaves = [x]
-    elif op_name == "mul":
-        a, b = A.param(rng.normal(size=(n, m))), A.param(rng.normal(size=m))
-        build = lambda: _reduce(A.mul(a, b))
-        leaves = [a, b]
-    elif op_name == "add":
-        a, b = A.param(rng.normal(size=(n, m))), A.param(rng.normal(size=m))
-        build = lambda: _reduce(A.add(a, b))
-        leaves = [a, b]
-    elif op_name == "sub":
-        a, b = A.param(rng.normal(size=(n, m))), A.param(rng.normal(size=m))
-        build = lambda: _reduce(A.sub(a, b))
+    elif op_name.partition("_")[0] in ("mul", "add", "sub"):
+        # b [m] broadcasts over rows; a "_column" b [n, 1] over columns, summed back with keepdims
+        op, _, column = op_name.partition("_")
+        a, b = A.param(rng.normal(size=(n, m))), A.param(rng.normal(size=(n, 1) if column else m))
+        build = lambda: _reduce(getattr(A, op)(a, b))
         leaves = [a, b]
     elif op_name == "affine":
         x = A.param(rng.normal(size=(2, n, m)))

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -845,6 +846,42 @@ def test_train_non_finite_loss_exits_3(corpus_dir, tmp_path, capsys, monkeypatch
     monkeypatch.setattr(T.M, "init_params", poisoned)
     assert main(["train", "--data", str(corpus_dir), "--out", str(tmp_path / "run"), *TINY_TRAIN]) == 3
     _assert_one_line_error(capsys, "non-finite")
+
+
+@pytest.mark.parametrize("exc, needle", [
+    (MemoryError("Unable to allocate 9.31 TiB for an array with shape (10000000000, 128) and data type float64"),
+     "error: Unable to allocate 9.31 TiB"),
+    (MemoryError(), "error: out of memory"),
+])
+def test_train_allocation_the_machine_cannot_make_is_a_one_line_error(corpus_dir, tmp_path, capsys, monkeypatch,
+                                                                      exc, needle):
+    # what numpy raises for an oversized --hidden or --embed-dim, raised
+    # here without the allocation, which could exhaust the machine
+    def oversized(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(T.M, "init_params", oversized)
+    assert main(["train", "--data", str(corpus_dir), "--out", str(tmp_path / "run"), *TINY_TRAIN]) == 1
+    _assert_one_line_error(capsys, needle)
+
+
+def test_train_default_run_directory_is_never_reused(corpus_dir, tmp_path, capsys, monkeypatch):
+    # two runs started in the same second get the same default name: the
+    # second is refused before it writes anything, while --out may reuse one
+    strftime, started = time.strftime, time.strptime("2026-01-02 03:04:05", "%Y-%m-%d %H:%M:%S")
+    monkeypatch.setattr(cli.time, "strftime", lambda fmt: strftime(fmt, started))
+    monkeypatch.chdir(tmp_path)
+    train = ["train", "--data", str(corpus_dir), *TINY_TRAIN]
+    assert main(train) == 0
+    run = Path("runs") / "train-20260102-030405"
+    written = {p.name: p.read_bytes() for p in run.iterdir()}
+    assert set(written) == {"config.txt", "vocab.txt", "model.bin", "loss.csv"}
+    capsys.readouterr()
+    assert main([*train, "--seed", "5"]) == 2
+    _assert_one_line_error(capsys, "File exists", str(run))
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == written
+    assert main([*train, "--seed", "5", "--out", str(run)]) == 0
+    assert "seed=5" in (run / "config.txt").read_text(encoding="utf-8")
 
 
 def test_train_that_diverges_prints_only_its_one_line_error(tmp_path):

@@ -476,7 +476,7 @@ def test_scoring_in_blocks_gives_the_one_pass_records_byte_for_byte(n):
     params = _scoring_model(rng)
     batch = make_batch(rng, n=n, vocab_size=200, lx=24, lb=4)
     scoring = T.scoring_params(params, batch)
-    assert _lines(predict_batch(scoring, batch, MODE_SPECS["ccdf"])) == _lines(records_alone(scoring, batch))
+    assert _lines(predict_batch(params, batch, MODE_SPECS["ccdf"])) == _lines(records_alone(scoring, batch))
 
 
 def test_scoring_blocks_fill_the_slot_budget_at_each_rows_own_width():
@@ -501,7 +501,7 @@ def test_scoring_blocks_fill_the_slot_budget_at_each_rows_own_width():
         assert (block.x_ids[len(rows):] == batch.x_ids[rows[-1], :lx]).all()
     assert max(len(rows) for rows, _ in blocks) == 256
     scoring = T.scoring_params(params, batch)
-    assert _lines(predict_batch(scoring, batch, MODE_SPECS["ccdf"])) == _lines(records_alone(scoring, batch))
+    assert _lines(predict_batch(params, batch, MODE_SPECS["ccdf"])) == _lines(records_alone(scoring, batch))
 
 
 def test_scoring_one_example_with_a_train_long_sized_model_stays_small(tiny_lexicon):
@@ -629,10 +629,10 @@ def test_predict_batch_makes_no_copy_of_the_sentence_tensor():
     x_ids[np.arange(lx) >= rng.integers(100, lx + 1, (n, 1))] = 0
     b_ids[np.arange(lb) >= rng.integers(1, lb + 1, (n, 1))] = 0
     batch = EncodedBatch(x_ids=x_ids, b_ids=b_ids, labels=rng.integers(0, 2, n))
-    scoring = T.scoring_params(M.init_params(cfg, rng), batch)
+    params = M.init_params(cfg, rng)
     tracemalloc.start()
     try:
-        predict_batch(scoring, batch, MODE_SPECS["ccdf"])
+        predict_batch(params, batch, MODE_SPECS["ccdf"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
