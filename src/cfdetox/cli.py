@@ -60,8 +60,8 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--embed-dim", type=int, help=f"encoder width (default: {defaults.embed_dim})")
     p.add_argument("--eval-every-steps", type=int, help=f"validation cadence (default: {defaults.eval_every_steps})")
     p.add_argument("--weight-decay", type=float, help=f"AdamW decoupled decay (default: {defaults.weight_decay})")
-    p.add_argument("--seed", type=int, help="RNG seed (default: 0)")
-    p.add_argument("--mode", choices=T.MODES, help="training mode (default: ccdf)")
+    p.add_argument("--seed", type=int, help=f"RNG seed (default: {defaults.seed})")
+    p.add_argument("--mode", choices=T.MODES, help=f"training mode (default: {defaults.mode})")
 
 
 def build_parser() -> _Parser:
@@ -317,13 +317,10 @@ def cmd_infer(args: argparse.Namespace) -> int:
     lexicon = load_lexicon(args.lexicon)
     corpus = D.Corpus.from_sentences([(D.tokenize(args.text), 0)])
     encoder = D.CorpusEncoder(corpus, lexicon, vocab, config.lx, config.lb)
-    matched = encoder.matches(0)
     record = T.predict_batch(params, D.encode_batch(encoder, [0]), config.spec)[0]
     record["categories"] = encoder.categories()[0]
     record["text"] = args.text
-    record["biased_tokens"] = [
-        {"token": tok, "category": lexicon.category(tok)} for tok in matched.tokens
-    ]
+    record["biased_tokens"] = [{"token": tok, "category": lexicon.category(tok)} for tok in encoder.matches(0)]
     print(json.dumps(record, indent=2))
     return 0
 

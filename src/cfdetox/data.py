@@ -15,7 +15,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from cfdetox.errors import ParseError, ValidationError, numbered_lines, read_text
-from cfdetox.lexicon import BiasedTokenSet, Lexicon, match_biased_tokens
+# unused here, match_biased_tokens stays for perfbench/tracer.py to patch
+from cfdetox.lexicon import Lexicon, match_biased_tokens
 
 PAD, UNK, SEP, NOBIAS = "<pad>", "<unk>", "<sep>", "<nobias>"
 RESERVED = (PAD, UNK, SEP, NOBIAS)
@@ -102,8 +103,11 @@ class Vocab:
     @classmethod
     def build(cls, corpus: Corpus) -> "Vocab":
         """Corpus-derived vocabulary, most frequent first (ties by spelling)."""
-        counts = [(t, c) for t, c in zip(corpus.tokens, corpus.counts.tolist()) if t not in RESERVED]
-        return cls(list(RESERVED) + [t for t, _ in sorted(counts, key=lambda kv: (-kv[1], kv[0]))])
+        counts = np.zeros(len(corpus.tokens), dtype=np.int64)
+        for start in range(0, len(corpus.ids), 8192):  # bincount copies what it counts to int64
+            counts += np.bincount(corpus.ids[start : start + 8192], minlength=len(counts))
+        ranked = sorted(zip(corpus.tokens, counts.tolist()), key=lambda kv: (-kv[1], kv[0]))
+        return cls(list(RESERVED) + [t for t, _ in ranked if t not in RESERVED])
 
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -147,13 +151,12 @@ class EncodedBatch:
 class Corpus:
     """A split as flat token ids, the form training and scoring read.
 
-    ``tokens`` lists each distinct token once, in order of first use, and
-    ``counts`` how often it occurs; sentence ``i`` is ``sentence(i)``, the
-    slice ``ids[offsets[i]:offsets[i + 1]]`` of indices into ``tokens``.
+    ``tokens`` lists each distinct token once, in order of first use;
+    sentence ``i`` is ``sentence(i)``, the slice
+    ``ids[offsets[i]:offsets[i + 1]]`` of indices into ``tokens``.
     """
 
     tokens: tuple[str, ...]
-    counts: np.ndarray  # int64 [len(tokens)]
     ids: np.ndarray  # intc [tokens in the split]
     offsets: np.ndarray  # int64 [len + 1]
     labels: np.ndarray  # int64 [len]
@@ -175,12 +178,13 @@ class Corpus:
             ids.extend(map(table.__getitem__, tokens))
             offsets.append(len(ids))
             labels.append(label)
-        flat = np.frombuffer(ids, dtype=np.intc)
-        counts = np.zeros(len(table), dtype=np.int64)
-        for start in range(0, len(flat), 8192):  # bincount copies what it counts to int64
-            counts += np.bincount(flat[start : start + 8192], minlength=len(table))
-        return cls(tuple(table), counts, flat, np.frombuffer(offsets, dtype=np.int64),
+        return cls(tuple(table), np.frombuffer(ids, dtype=np.intc), np.frombuffer(offsets, dtype=np.int64),
                    np.frombuffer(labels, dtype=np.int64))
+
+
+def table_surfaces(corpus: Corpus, lexicon: Lexicon) -> list[str | None]:
+    """Each table token's matched lexicon surface, its lowercase form; None where it matches nothing."""
+    return [s if s in lexicon.entries else None for s in map(str.lower, corpus.tokens)]
 
 
 class CorpusEncoder:
@@ -195,10 +199,10 @@ class CorpusEncoder:
                  max_sentence_len: int, max_bias_len: int, mask_bias: bool = False) -> None:
         if max_sentence_len < 1 or max_bias_len < 1:
             raise ValidationError("maximum lengths must be >= 1")
-        self.corpus, self.lexicon = corpus, lexicon
+        self.corpus = corpus
         self.max_sentence_len, self.max_bias_len = max_sentence_len, max_bias_len
         # each table token's matched surface and bias id; None and -1 where it matches nothing
-        self._surfaces = [s if s in lexicon.entries else None for s in map(str.lower, corpus.tokens)]
+        self._surfaces = table_surfaces(corpus, lexicon)
         self.bias_ids = np.array([-1 if s is None else vocab.id(s) for s in self._surfaces], dtype=np.int64)
         self.x_ids = np.array([UNK_ID if mask_bias and s is not None else vocab.id(t)
                                for t, s in zip(corpus.tokens, self._surfaces)], dtype=np.int64)
@@ -207,14 +211,13 @@ class CorpusEncoder:
         self._category_bits = np.array([0 if s is None else 1 << self._categories.index(lexicon.category(s))
                                         for s in self._surfaces], dtype=np.int64)
 
-    def matches(self, i: int) -> BiasedTokenSet:
+    def matches(self, i: int) -> tuple[str, ...]:
         """Row ``i``'s ``match_biased_tokens``, read off the lookups that give its bias ids."""
         sentence = self.corpus.sentence(i)
-        surfaces = tuple(self._surfaces[t] for t in sentence[self.bias_ids[sentence] != -1].tolist())
-        return BiasedTokenSet(surfaces, frozenset(map(self.lexicon.category, surfaces)))
+        return tuple(self._surfaces[t] for t in sentence[self.bias_ids[sentence] != -1].tolist())
 
     def categories(self) -> list[list[str]]:
-        """Each row's sorted ``matches(i).categories``, from one gather of the category bits."""
+        """Each row's sorted categories of ``matches(i)``, from one gather of the category bits."""
         corpus = self.corpus
         bits = self._category_bits[corpus.ids]
         hits = np.flatnonzero(bits)
@@ -276,13 +279,13 @@ def lexicon_label_stats(corpus: Corpus, lexicon: Lexicon) -> list[tuple[str, int
     """(surface, toxic, non-toxic, toxic percent) per lexicon surface that
     occurs, by surface.
 
-    Counts sentences, not occurrences: each sentence is matched once and
-    each surface it matches counts once for its label.
+    Counts sentences, not occurrences: each surface among a sentence's
+    :func:`table_surfaces` counts once for its label.
     """
+    surfaces = table_surfaces(corpus, lexicon)
     counts: dict[str, list[int]] = {}
     for i, label in enumerate(corpus.labels.tolist()):
-        tokens = [corpus.tokens[t] for t in corpus.sentence(i).tolist()]
-        for surface in set(match_biased_tokens(tokens, lexicon).tokens):
+        for surface in {surfaces[t] for t in corpus.sentence(i).tolist()} - {None}:
             counts.setdefault(surface, [0, 0])[label] += 1
     return [(s, toxic, nontoxic, 100.0 * toxic / (toxic + nontoxic))
             for s, (nontoxic, toxic) in sorted(counts.items())]

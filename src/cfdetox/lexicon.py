@@ -18,18 +18,6 @@ from cfdetox.errors import ParseError, ValidationError, numbered_lines
 CATEGORIES = ("nOI", "OI", "OnI")
 
 
-@dataclass(frozen=True)
-class BiasedTokenSet:
-    """Lexicon matches for one sentence.
-
-    ``tokens`` holds the matched lowercase surfaces in sentence order with
-    duplicates preserved; ``categories`` is the set of categories matched.
-    """
-
-    tokens: tuple[str, ...] = ()
-    categories: frozenset[str] = frozenset()
-
-
 @dataclass
 class Lexicon:
     """Immutable after load; matching is pure and thread-safe."""
@@ -83,14 +71,10 @@ def save_lexicon(path: str | Path, lexicon: Lexicon, header: str | None = None) 
             fh.write(f"{surface},{lexicon.entries[surface]}\n")
 
 
-def match_biased_tokens(tokens: Sequence[str], lexicon: Lexicon) -> BiasedTokenSet:
+def match_biased_tokens(tokens: Sequence[str], lexicon: Lexicon) -> tuple[str, ...]:
     """All tokens whose lowercased form is a lexicon surface.
 
     Returns matched surfaces (not the original spellings) in sentence
     order, duplicates preserved.  An empty result is valid.
     """
-    matched = tuple(filter(lexicon.entries.__contains__, map(str.lower, tokens)))
-    return BiasedTokenSet(
-        tokens=matched,
-        categories=frozenset(lexicon.entries[t] for t in matched),
-    )
+    return tuple(filter(lexicon.entries.__contains__, map(str.lower, tokens)))

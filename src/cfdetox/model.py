@@ -12,7 +12,6 @@ both answer with one trainable invariant response.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -37,9 +36,6 @@ N_CLASSES = 2
 ENCODED_ROWS = "encoder.rows"
 ENCODED_INDEX = "encoder.row_index"
 
-Scenario = Literal["factual", "counterfactual"]
-
-
 BRANCHES = ("e", "x", "b")
 
 
@@ -62,19 +58,18 @@ class DropoutCtx:
 
 @dataclass
 class ScenarioLogits:
-    """Per-branch 2-class scores plus their fusion, [batch, 2] each.
+    """The factual pass's per-branch 2-class scores plus their fusion,
+    [batch, 2] each.
 
-    In the counterfactual scenario ``y_e`` and ``y_x`` are one tiled
-    invariant response, exactly equal across examples.  A training mode
-    without some head (see :mod:`cfdetox.training`) leaves its score, and
-    the fusion when it has fewer than two heads, as None.
+    A training mode without some head (see :mod:`cfdetox.training`) leaves
+    its score, and the fusion when it has fewer than two heads, as None.
     """
 
     y_e: Value | None
     y_x: Value | None
     y_b: Value | None
     fused: Value | None
-    scenario: Scenario
+    scenario: str = "factual"  # always; perfbench/tracer.py counts ccdf_forward calls by it
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -208,22 +203,21 @@ def branch_forward(
     respond to their features, next to the bias score ``y_b``."""
     y_e = mlp(e, "e", params, drop)
     y_x = mlp(x_pooled, "x", params, drop)
-    return ScenarioLogits(y_e=y_e, y_x=y_x, y_b=y_b, fused=fuse(y_e, y_x, y_b), scenario="factual")
+    return ScenarioLogits(y_e=y_e, y_x=y_x, y_b=y_b, fused=fuse(y_e, y_x, y_b))
 
 
-def counterfactual_logits(params: dict[str, Value], y_b: Value) -> ScenarioLogits:
-    """The counterfactual scenario for a bias score ``y_b`` [batch, 2].
+def counterfactual_logits(params: dict[str, Value], y_b: Value) -> Value:
+    """The counterfactual fusion [batch, 2] for a bias score ``y_b`` [batch, 2].
 
     The ensemble and sentence heads are blocked and both answer with the
     invariant response c, tiled over the batch once.  This is the only
-    constructor of the counterfactual scenario: with the factual pass's
-    ``y_b`` it gives the counterfactual on the same input, with the bias
-    head's score of the NOBIAS input the te reference.  Either way it never
-    touches the sentence path, so it is exactly invariant to the sentence.
+    constructor of the counterfactual: with the factual pass's ``y_b`` it
+    gives the counterfactual on the same input, with the bias head's score
+    of the NOBIAS input the te reference.  Either way it never touches the
+    sentence path, so it is exactly invariant to the sentence.
     """
-    n = y_b.data.shape[0]
-    c = A.tile_rows(params["const.c"], n)
-    return ScenarioLogits(y_e=c, y_x=c, y_b=y_b, fused=fuse(c, c, y_b), scenario="counterfactual")
+    c = A.tile_rows(params["const.c"], y_b.data.shape[0])
+    return fuse(c, c, y_b)
 
 
 def ccdf_forward(

@@ -26,7 +26,7 @@ from cfdetox import model as M
 from cfdetox.autodiff import Value
 from cfdetox.data import NOBIAS_ID, PAD_ID, Corpus, CorpusEncoder, EncodedBatch, Vocab, encode_batch, nobias_batch
 from cfdetox.effects import argmax_labels, inference_records
-from cfdetox.errors import ContractError, DomainError, NumericsError, ValidationError, VocabularyError
+from cfdetox.errors import DomainError, NumericsError, ValidationError, VocabularyError
 # unused here, match_biased_tokens stays for perfbench/tracer.py to patch
 from cfdetox.lexicon import Lexicon, match_biased_tokens
 from cfdetox.metrics import Confusion, EvalReport, accuracy, build_report, f1_binary
@@ -133,8 +133,6 @@ def _check_labels(labels: np.ndarray) -> np.ndarray:
 def loss_terms(logits: ScenarioLogits, labels: np.ndarray) -> dict[str, Value]:
     """Factual cross-entropy terms keyed f/e/x/b, in that order; a score
     the mode does not have (None) has no term."""
-    if logits.scenario != "factual":
-        raise ContractError("losses are defined on the factual scenario")
     labels = _check_labels(labels)
     scores = {"f": logits.fused, "e": logits.y_e, "x": logits.y_x, "b": logits.y_b}
     return {key: A.cross_entropy(score, labels) for key, score in scores.items() if score is not None}
@@ -157,7 +155,7 @@ def invariant_response_loss(logits: ScenarioLogits, params: dict[str, Value], la
     guarantee are untouched.
     """
     counterfactual = M.counterfactual_logits(params, A.stop_gradient(logits.y_b))
-    return A.cross_entropy(counterfactual.fused, _check_labels(labels))
+    return A.cross_entropy(counterfactual, _check_labels(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +189,9 @@ def mode_forward(
         return M.ccdf_forward(params, batch, drop)
     if "b" in spec.branches:
         y_x, y_b, fused = lmixin_forward(params, batch, drop)
-        return ScenarioLogits(y_e=None, y_x=y_x, y_b=y_b, fused=fused, scenario="factual")
+        return ScenarioLogits(y_e=None, y_x=y_x, y_b=y_b, fused=fused)
     y_x = sentence_branch_forward(params, batch, drop)
-    return ScenarioLogits(y_e=None, y_x=y_x, y_b=None, fused=None, scenario="factual")
+    return ScenarioLogits(y_e=None, y_x=y_x, y_b=None, fused=None)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +291,7 @@ def predict_batch(params: dict[str, Value], batch: EncodedBatch, spec: ModeSpec)
     y_b_reference = M.bias_head(bh, nobias.b_mask, params).data[0]
     # the counterfactual fusion is elementwise in the bias score, and an elementwise op gives
     # an element the same bits at any place in any array, so both run once over the batch
-    counterfactual, reference = (M.counterfactual_logits(params, A.const(score)).fused.data
+    counterfactual, reference = (M.counterfactual_logits(params, A.const(score)).data
                                  for score in (y_b, np.broadcast_to(y_b_reference, y_b.shape)))
     return inference_records(fused, counterfactual, reference)
 

@@ -141,7 +141,7 @@ def encode_batch_reference(
     x_rows: list[list[int]] = []
     b_rows: list[list[int]] = []
     for sentence, _ in sentences:
-        matched = match_biased_tokens(sentence, lexicon).tokens
+        matched = match_biased_tokens(sentence, lexicon)
         tokens = sentence[:max_sentence_len]
         if mask_bias:
             tokens = tuple(UNK if t.lower() in matched else t for t in tokens)
@@ -180,8 +180,8 @@ def ccdf_scenarios(params: dict[str, Value], batch: EncodedBatch) -> tuple[np.nd
     bias score, of the batch and of its NOBIAS twin."""
     factual = ccdf_forward(params, batch)
     reference_y_b = ccdf_forward(params, nobias_batch(batch)).y_b
-    return (factual.fused.data, counterfactual_logits(params, factual.y_b).fused.data,
-            counterfactual_logits(params, reference_y_b).fused.data)
+    return (factual.fused.data, counterfactual_logits(params, factual.y_b).data,
+            counterfactual_logits(params, reference_y_b).data)
 
 
 def alone(batch: EncodedBatch, i: int) -> EncodedBatch:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -272,7 +273,7 @@ def test_log_softmax_gradient_matches_finite_differences():
                                      "embed", "cross_entropy", "tile_rows", "clamp_min"])
 def test_primitive_gradients_match_finite_differences(op_name):
     for seed in range(8):
-        rng = np.random.default_rng(hash(op_name) % 10_000 + seed)
+        rng = np.random.default_rng(zlib.crc32(op_name.encode()) % 10_000 + seed)  # str hash() varies per process
         worst = _gradcheck_primitive(op_name, rng)
         assert worst <= 1e-4, f"{op_name}: rel err {worst}"
 

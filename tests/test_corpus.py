@@ -6,11 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfdetox import data as D
-from cfdetox.data import Corpus, CorpusEncoder, Vocab, encode_batch, load_jsonl, save_jsonl, tokenize
+from cfdetox.data import Corpus, CorpusEncoder, Vocab, encode_batch, lexicon_label_stats, load_jsonl, save_jsonl, tokenize
 from cfdetox.errors import ParseError
 from cfdetox.lexicon import Lexicon, match_biased_tokens
 from helpers import encode_batch_reference, vocab_build_reference
@@ -45,6 +45,11 @@ def _reference_read(text: str) -> list[tuple[list[str], int]]:
     return [(tokenize(row["text"]), row["label"]) for row in rows]
 
 
+def _categories(tokens, lexicon) -> list[str]:
+    """The sorted categories of a sentence's lexicon matches."""
+    return sorted(set(map(lexicon.category, match_biased_tokens(tokens, lexicon))))
+
+
 @settings(max_examples=300, deadline=None)
 @given(sentences=st.lists(_SENTENCE, min_size=1, max_size=10), data=st.data(),
        lx=st.integers(1, 12), lb=st.integers(1, 6), mask_bias=st.booleans())
@@ -61,7 +66,27 @@ def test_corpus_batches_are_the_reference_encoder_bit_for_bit(sentences, data, l
                        encode_batch_reference(sentences, LEXICON, vocab, lx, lb, mask_bias))
     for i, (tokens, _) in enumerate(sentences):
         assert encoder.matches(i) == match_biased_tokens(tokens, LEXICON)
-    assert encoder.categories() == [sorted(match_biased_tokens(tokens, LEXICON).categories) for tokens, _ in sentences]
+    assert encoder.categories() == [_categories(tokens, LEXICON) for tokens, _ in sentences]
+
+
+def _label_stats_reference(sentences, lexicon):
+    """``lexicon_label_stats`` counted sentence by sentence: a surface counts
+    once for the label of each sentence holding any spelling of it."""
+    counts = {}
+    for tokens, label in sentences:
+        for surface in lexicon.entries:
+            if any(t.lower() == surface for t in tokens):
+                counts.setdefault(surface, [0, 0])[label] += 1
+    return [(s, toxic, nontoxic, 100.0 * toxic / (toxic + nontoxic))
+            for s, (nontoxic, toxic) in sorted(counts.items())]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sentences=st.lists(_SENTENCE, max_size=10))
+@example(sentences=[(["hoe", "HOE", "Hoe", "black"], 1), (["plain", "words"], 0), (["Black", "hoe"], 0), ([], 1)])
+def test_label_stats_are_the_sentence_by_sentence_count(sentences):
+    corpus = Corpus.from_sentences(sentences)
+    assert lexicon_label_stats(corpus, LEXICON) == _label_stats_reference(sentences, LEXICON)
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +106,7 @@ def test_every_batch_of_a_shuffled_stock_epoch_is_the_reference_one(stock_split,
     assert vocab.tokens == vocab_build_reference(sentences).tokens
     lexicon = D.synthetic_lexicon()
     encoder = CorpusEncoder(corpus, lexicon, vocab, 128, 16, mask_bias)
-    assert encoder.categories() == [sorted(match_biased_tokens(tokens, lexicon).categories) for tokens, _ in sentences]
+    assert encoder.categories() == [_categories(tokens, lexicon) for tokens, _ in sentences]
     order = np.random.default_rng(0).permutation(len(sentences))
     for start in range(0, len(order), 8):
         rows = order[start : start + 8]
@@ -130,7 +155,7 @@ def test_reader_keeps_token_order_counts_and_empty_sentences(tmp_path):
     path.write_text("".join(json.dumps({"text": t, "label": y}) + "\n" for t, y in rows), encoding="utf-8")
     corpus = load_jsonl(path)
     assert corpus.tokens == ("the", "hoe", "zorp")
-    assert corpus.counts.tolist() == [3, 2, 1]
+    assert Vocab.build(corpus).tokens == [*D.RESERVED, "the", "hoe", "zorp"]
     assert corpus.ids.tolist() == [0, 1, 0, 1, 2, 0]
     assert corpus.offsets.tolist() == [0, 4, 4, 6]
     assert corpus.labels.tolist() == [1, 0, 1]

@@ -226,19 +226,18 @@ def test_fuse_needs_two_scores():
 def test_counterfactual_scores_are_invariant_responses(tiny_params):
     rng = np.random.default_rng(8)
     batch = make_batch(rng, n=3)
-    logits = counterfactual_logits(tiny_params, ccdf_forward(tiny_params, batch).y_b)
-    assert (logits.y_e.data == tiny_params["const.c"].data).all()
-    assert (logits.y_x.data == tiny_params["const.c"].data).all()
-    assert logits.scenario == "counterfactual"
+    y_b = ccdf_forward(tiny_params, batch).y_b
+    c = A.const(np.tile(tiny_params["const.c"].data, (3, 1)))
+    assert (counterfactual_logits(tiny_params, y_b).data == fuse(c, c, y_b).data).all()
 
 
 def test_counterfactual_ignores_the_sentence(tiny_params):
     rng = np.random.default_rng(9)
     a = make_batch(rng, n=2)
     b = EncodedBatch(x_ids=np.roll(a.x_ids, 1, axis=1), b_ids=a.b_ids, labels=a.labels)
-    la, lb = (counterfactual_logits(tiny_params, ccdf_forward(tiny_params, batch).y_b) for batch in (a, b))
-    assert (la.fused.data == lb.fused.data).all()
-    assert (la.y_b.data == lb.y_b.data).all()
+    ya, yb = (ccdf_forward(tiny_params, batch).y_b for batch in (a, b))
+    assert (ya.data == yb.data).all()
+    assert (counterfactual_logits(tiny_params, ya).data == counterfactual_logits(tiny_params, yb).data).all()
 
 
 def test_zero_weight_heads_return_biases():

@@ -79,10 +79,9 @@ def test_ccdf_forward_is_padding_invariant(setup, index, lx, lb):
     trimmed = batches[index]
     full = _pad_to(trimmed, lx, lb)
     factual = M.ccdf_forward(params, trimmed), M.ccdf_forward(params, full)
-    counterfactual = tuple(M.counterfactual_logits(params, f.y_b) for f in factual)
-    for a, b in (factual, counterfactual):
-        for attr in ("y_e", "y_x", "y_b", "fused"):
-            _close(getattr(a, attr).data, getattr(b, attr).data)
+    for attr in ("y_e", "y_x", "y_b", "fused"):
+        _close(getattr(factual[0], attr).data, getattr(factual[1], attr).data)
+    _close(*(M.counterfactual_logits(params, f.y_b).data for f in factual))
 
 
 @PADDINGS

@@ -20,7 +20,7 @@ from cfdetox.data import (
     generate_synthetic_corpus,
     synthetic_lexicon,
 )
-from cfdetox.errors import ContractError, NumericsError, ValidationError, VocabularyError
+from cfdetox.errors import NumericsError, ValidationError, VocabularyError
 from cfdetox.lexicon import Lexicon
 from cfdetox.model import ScenarioLogits, ccdf_forward
 from cfdetox.optim import AdamWState
@@ -63,7 +63,7 @@ def small_corpus(seed=0, n=48):
 
 def zero_logits(n=2):
     zero = A.const(np.zeros((n, 2)))
-    return ScenarioLogits(y_e=zero, y_x=zero, y_b=zero, fused=zero, scenario="factual")
+    return ScenarioLogits(y_e=zero, y_x=zero, y_b=zero, fused=zero)
 
 
 def test_total_loss_uniform_scores_is_four_ln_two():
@@ -75,13 +75,6 @@ def test_total_loss_uniform_scores_is_four_ln_two():
 def test_total_loss_rejects_bad_labels():
     with pytest.raises(ValidationError):
         total_loss(zero_logits(), np.array([0, 2]))
-
-
-def test_total_loss_needs_factual_scenario(tiny_params):
-    batch = make_batch(np.random.default_rng(0), n=2)
-    logits = M.counterfactual_logits(tiny_params, ccdf_forward(tiny_params, batch).y_b)
-    with pytest.raises(ContractError):
-        total_loss(logits, batch.labels)
 
 
 def test_encoder_gradient_sees_no_bias_loss(tiny_params):
