@@ -68,18 +68,17 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="cfdetox", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a synthetic biased corpus",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--seed", type=int, default=7, help="corpus RNG seed")
-    p.add_argument("--out", default="data", help="output directory")
+    p = sub.add_parser("gen", help="generate a synthetic biased corpus")
+    p.add_argument("--seed", type=int, default=7, help="corpus RNG seed (default: 7)")
+    p.add_argument("--out", default="data", help="output directory (default: data)")
     p.add_argument("--spurious-rate", type=float, default=0.95,
-                   help="co-occurrence rate of the bias token with toxic labels")
-    p.add_argument("--n-train", type=int, default=4000, help="training examples (before the 10%% valid carve)")
-    p.add_argument("--n-test", type=int, default=1000, help="examples per test split")
+                   help="co-occurrence rate of the bias token with toxic labels (default: 0.95)")
+    p.add_argument("--n-train", type=int, default=4000,
+                   help="training examples, before the 10%% valid carve (default: 4000)")
+    p.add_argument("--n-test", type=int, default=1000, help="examples per test split (default: 1000)")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("stats", help="per-lexicon-token label counts",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = sub.add_parser("stats", help="per-lexicon-token label counts")
     p.add_argument("--data", required=True, help="JSONL dataset")
     p.add_argument("--lexicon", required=True, help="lexicon CSV")
     p.set_defaults(func=cmd_stats)
@@ -91,20 +90,18 @@ def build_parser() -> _Parser:
     _add_train_flags(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True, help="model.bin (vocab.txt/config.txt must sit beside it)")
     p.add_argument("--data", required=True, help="JSONL dataset")
     p.add_argument("--lexicon", required=True, help="lexicon CSV")
-    p.add_argument("--inference", choices=T.INFERENCE_RULES, default="tie", help="prediction rule")
+    p.add_argument("--inference", choices=T.INFERENCE_RULES, default="tie", help="prediction rule (default: tie)")
     p.add_argument("--ood-data", default=None, help="optional second dataset for the OOD column")
     p.add_argument("--out", default=None, help="report JSON path (default: report-<rule>.json beside the checkpoint)")
     p.add_argument("--records", default=None,
                    help="also write one JSONL inference record per example")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("infer", help="debiased prediction for one sentence",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = sub.add_parser("infer", help="debiased prediction for one sentence")
     p.add_argument("--checkpoint", required=True, help="model.bin")
     p.add_argument("--lexicon", required=True, help="lexicon CSV")
     p.add_argument("--text", required=True, help="sentence to score")
@@ -179,6 +176,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.n_train < 2:
         raise ValidationError(f"--n-train must be >= 2 (the last 10%, at least one example, "
                               f"becomes valid.jsonl), got {args.n_train}")
+    if args.n_test < 1:
+        raise ValidationError(f"--n-test must be >= 1, got {args.n_test}")
     train, test_iid, test_flipped = D.generate_synthetic_corpus(
         args.seed, args.n_train, args.n_test, args.spurious_rate
     )

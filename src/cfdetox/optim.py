@@ -11,7 +11,7 @@ from cfdetox.errors import ContractError
 from cfdetox.kernels import adamw_update
 
 # table rows per dense gradient block of a row-sparse parameter: 128 rows of
-# a 128-wide embedding are the pure kernel's 16,384-element BLOCK
+# a 128-wide embedding are the AdamW kernel's 16,384-element BLOCK
 ROW_BLOCK = 128
 
 

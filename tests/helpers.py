@@ -282,12 +282,12 @@ def gradcheck(
 
 
 def scatter_add_rows_reference(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
-    """The row-wise scatter-add the pure kernel replaced: ``np.add.at`` on ``out``."""
+    """The row-wise scatter-add the kernel replaced: ``np.add.at`` on ``out``."""
     np.add.at(out, ids, rows)
 
 
 def adamw_update_reference(p, g, m, v, lr, beta1, beta2, eps, weight_decay, bias_c1, bias_c2) -> None:
-    """The allocating whole-array AdamW expression the pure kernel replaced."""
+    """The allocating whole-array AdamW expression the kernel replaced."""
     if weight_decay != 0.0:
         p *= 1.0 - lr * weight_decay
     m *= beta1

@@ -120,11 +120,13 @@ def test_gen_split_without_toxic_example_prints_na(tmp_path):
 
 
 def test_gen_rejects_too_small_train_split(tmp_path):
-    proc = _run_cli("gen", "--out", "d", "--n-train", "1", cwd=tmp_path)
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: --n-train must be >= 2")
-    assert not (tmp_path / "d").exists()
+    for flag, value, message in (("--n-train", "1", "error: --n-train must be >= 2"),
+                                 ("--n-test", "0", "error: --n-test must be >= 1, got 0")):
+        proc = _run_cli("gen", "--out", "d", flag, value, cwd=tmp_path)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(message), proc.stderr
+        assert not (tmp_path / "d").exists()
 
 
 def test_stats_table(corpus_dir, capsys):
@@ -664,6 +666,12 @@ def test_help_lists_defaults(capsys):
     for name in flags:
         option = out.rsplit(f"--{name.replace('_', '-')} ", 1)[1].split(" --", 1)[0]
         assert f"(default: {defaults[name]})" in option, name
+
+
+@pytest.mark.parametrize("command", ["gen", "stats", "train", "eval", "infer"])
+def test_help_shows_a_default_only_where_one_exists(command, capsys):
+    assert main([command, "--help"]) == 0
+    assert "default: None" not in " ".join(capsys.readouterr().out.split())
 
 
 # ---------------------------------------------------------------------------
