@@ -30,12 +30,15 @@ from cfdetox.errors import CfDetoxError, NumericsError, ParseError, ValidationEr
 # unused here, match_biased_tokens stays for perfbench/tracer.py to patch
 from cfdetox.lexicon import load_lexicon, match_biased_tokens, save_lexicon
 from cfdetox.metrics import render_table
+from cfdetox.optim import AdamWState
 from cfdetox.training import TrainConfig
 
 CHECKPOINT_FILE = "model.bin"
 VOCAB_FILE = "vocab.txt"
 CONFIG_FILE = "config.txt"
 LOSS_FILE = "loss.csv"
+# AdamW's fixed constants, still named by run directories written while they were config keys
+RETIRED_KEYS = ("beta1", "beta2", "eps")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,7 +117,8 @@ def build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 def _parse_config_file(path: Path) -> dict[str, object]:
-    """Typed TrainConfig values from a ``key=value`` file, each key at most once."""
+    """Typed TrainConfig values from a ``key=value`` file, each key at most
+    once; a retired key is dropped at AdamW's fixed value and refused at any other."""
     raw: dict[str, str] = {}
     first: dict[str, int] = {}
     for line_no, line in enumerate(read_text(path).splitlines(), start=1):
@@ -128,15 +132,19 @@ def _parse_config_file(path: Path) -> dict[str, object]:
             raise ParseError(path, line_no, f"config key {key!r} repeats line {first[key]}")
         raw[key] = value
     defaults = TrainConfig()
-    unknown = set(raw) - set(defaults.as_dict())
+    unknown = set(raw) - set(defaults.as_dict()) - set(RETIRED_KEYS)
     if unknown:
         raise ValidationError(f"{path}: unknown config keys: {sorted(unknown)}")
     values: dict[str, object] = {}
     for key, value in raw.items():
+        kind = float if key in RETIRED_KEYS else type(getattr(defaults, key))
         try:
-            values[key] = type(getattr(defaults, key))(value)
+            values[key] = kind(value)
         except ValueError as exc:
-            raise ValidationError(f"{path}: config key {key}={value!r}: {exc}") from exc
+            raise ParseError(path, first[key], f"config key {key}={value!r}: {exc}") from exc
+        if key in RETIRED_KEYS and values.pop(key) != getattr(AdamWState, key):
+            raise ParseError(path, first[key], f"config key {key}={value!r}: AdamW's {key} is fixed at "
+                                               f"{getattr(AdamWState, key)}")
     return values
 
 

@@ -8,11 +8,7 @@ import numpy as np
 
 from cfdetox.autodiff import Value
 from cfdetox.errors import ContractError
-from cfdetox.kernels import adamw_update
-
-# table rows per dense gradient block of a row-sparse parameter: 128 rows of
-# a 128-wide embedding are the AdamW kernel's 16,384-element BLOCK
-ROW_BLOCK = 128
+from cfdetox.kernels import BLOCK, adamw_update
 
 
 @dataclass
@@ -20,14 +16,15 @@ class AdamWState:
     """Optimizer state: per-parameter moments plus the shared step counter.
 
     Moments are zero-initialized on first use; ``step`` starts at 0 and
-    increments once per :func:`adamw_step` call.
+    increments once per :func:`adamw_step` call.  ``beta1``, ``beta2`` and
+    ``eps`` are AdamW's fixed constants (Loshchilov & Hutter 2019).
     """
 
     lr: float
-    beta1: float
-    beta2: float
-    eps: float
     weight_decay: float
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -38,9 +35,9 @@ def adamw_step(params: dict[str, Value], state: AdamWState) -> None:
 
     Parameters with no accumulated gradient are treated as having zero
     gradient (their moments still decay and weight decay still applies).
-    A row-sparse gradient (``Value.row_grad``) is made dense one block of
-    :data:`ROW_BLOCK` rows at a time, so every row still gets the update
-    with +0.0 where no row was touched, and no ``[V, d]`` gradient is built.
+    A row-sparse gradient (``Value.row_grad``) is made dense one kernel
+    ``BLOCK`` of rows at a time, so every row still gets the update with
+    +0.0 where no row was touched, and no ``[V, d]`` gradient is built.
     Gradients are left untouched; the caller zeroes them.
     """
     state.step += 1
@@ -59,9 +56,10 @@ def adamw_step(params: dict[str, Value], state: AdamWState) -> None:
                          m.reshape(-1), v.reshape(-1), *hyper)
             continue
         ids, rows = p.row_grad
-        block = np.empty((min(ROW_BLOCK, len(p.data)), p.data.shape[1]))
-        for lo in range(0, len(p.data), ROW_BLOCK):
-            hi = min(lo + ROW_BLOCK, len(p.data))
+        n_rows = max(1, BLOCK // p.data.shape[1])  # one kernel block per call at any width
+        block = np.empty((min(n_rows, len(p.data)), p.data.shape[1]))
+        for lo in range(0, len(p.data), n_rows):
+            hi = min(lo + n_rows, len(p.data))
             k0, k1 = np.searchsorted(ids, (lo, hi))
             g = block[: hi - lo]
             g.fill(0.0)

@@ -84,9 +84,6 @@ class TrainConfig:
     mode: str = "ccdf"
     embed_dim: int = 128
     weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -100,11 +97,6 @@ class TrainConfig:
             raise ValidationError(f"dropout must be in [0, 1), got {self.dropout}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValidationError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValidationError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ValidationError(f"eps must be finite and > 0, got {self.eps}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ValidationError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
@@ -410,13 +402,7 @@ def train(
     init_seq, shuffle_seq = seed_seq.spawn(2)
     spec = config.spec
     params = M.init_params(config.model_config(len(vocab)), np.random.Generator(np.random.PCG64(init_seq)))
-    opt = AdamWState(
-        lr=config.learning_rate,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        eps=config.eps,
-        weight_decay=config.weight_decay,
-    )
+    opt = AdamWState(lr=config.learning_rate, weight_decay=config.weight_decay)
     shuffle_rng = np.random.Generator(np.random.PCG64(shuffle_seq))
     encoder = CorpusEncoder(train_set, lexicon, vocab, config.lx, config.lb, mask_bias=spec.mask_bias)
 

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import os
@@ -162,6 +163,7 @@ def test_train_writes_run_artifacts(run_dir):
     assert (run_dir / "loss.csv").exists()
     config = (run_dir / "config.txt").read_text(encoding="utf-8")
     assert "mode=ccdf" in config and "learning_rate=0.001" in config
+    assert len(config.splitlines()) == 12  # one line per train flag
     header = (run_dir / "loss.csv").read_text(encoding="utf-8").splitlines()[0]
     assert header == "step,loss_f,loss_e,loss_x,loss_b,val_f1"
 
@@ -236,7 +238,12 @@ def test_train_rejects_bad_optimizer_config(corpus_dir, tmp_path, capsys, line):
                "--config", str(cfg), *TINY_TRAIN])
     assert rc == 1
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("error: " + line.split("=")[0])
+    key, value = line.split("=")
+    if key in cli.RETIRED_KEYS:  # AdamW's constants load only at their fixed values
+        expected = f"error: {cfg}:1: config key {key}={value!r}: AdamW's {key} is fixed at "
+    else:
+        expected = "error: " + key
+    assert len(err.splitlines()) == 1 and err.startswith(expected)
 
 
 @pytest.mark.parametrize("flag,value", [
@@ -464,6 +471,58 @@ def test_eval_non_numeric_checkpoint_config_is_validation_error(run_dir, corpus_
         assert len(err.strip().splitlines()) == 1
 
 
+RETIRED_LINES = ["beta1=0.9", "beta2=0.999", "eps=1e-08"]  # as train wrote them while they were keys
+
+
+def _with_retired_keys(run_dir, dest):
+    """A copy of ``run_dir`` whose config.txt is the 15 lines train wrote
+    while AdamW's constants were config keys; returns the clone and its lines."""
+    clone = _clone_run(run_dir, dest)
+    lines = sorted((clone / "config.txt").read_text(encoding="utf-8").splitlines() + RETIRED_LINES)
+    (clone / "config.txt").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return clone, lines
+
+
+def test_run_directory_naming_the_retired_adamw_keys_scores_the_same(run_dir, corpus_dir, tmp_path, capsys):
+    old, lines = _with_retired_keys(run_dir, tmp_path / "old")
+    assert len(lines) == 15
+    outputs = []
+    for run in (run_dir, old):
+        assert main(["eval", "--checkpoint", str(run / "model.bin"),
+                     "--data", str(corpus_dir / "test_flipped.jsonl"),
+                     "--ood-data", str(corpus_dir / "test_iid.jsonl"),
+                     "--lexicon", str(corpus_dir / "lexicon.csv"),
+                     "--out", str(tmp_path / "report.json"), "--records", str(tmp_path / "records.jsonl")]) == 0
+        capsys.readouterr()
+        assert main(["infer", "--checkpoint", str(run / "model.bin"),
+                     "--lexicon", str(corpus_dir / "lexicon.csv"), "--text", "the zorp was dreadful"]) == 0
+        outputs.append(((tmp_path / "report.json").read_bytes(), (tmp_path / "records.jsonl").read_bytes(),
+                        capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("bad,message", [
+    ("beta1=0.5", "config key beta1='0.5': AdamW's beta1 is fixed at 0.9"),
+    ("eps=abc", "config key eps='abc': could not convert string to float"),
+    ("eps=1e-08", "config key 'eps' repeats line"),
+])
+@pytest.mark.parametrize("command", ["eval", "infer"])
+def test_retired_adamw_key_loads_only_at_its_fixed_value(run_dir, corpus_dir, tmp_path, capsys,
+                                                         command, bad, message):
+    clone, lines = _with_retired_keys(run_dir, tmp_path / "clone")
+    if bad in lines:
+        lines.append(bad)  # the key again, at its fixed value
+    else:
+        lines = [bad if line.split("=")[0] == bad.split("=")[0] else line for line in lines]
+    (clone / "config.txt").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    argv = ["--data", str(corpus_dir / "test_iid.jsonl")] if command == "eval" else ["--text", "hi"]
+    rc = main([command, *argv, "--checkpoint", str(clone / "model.bin"),
+               "--lexicon", str(corpus_dir / "lexicon.csv")])
+    assert rc == 1
+    line_no = len(lines) - lines[::-1].index(bad)
+    _assert_one_line_error(capsys, f"{clone / 'config.txt'}:{line_no}: {message}")
+
+
 def _drop_lx_and_dropout(lines):
     return [line for line in lines if not line.startswith(("lx=", "dropout="))], ": missing config keys: ['dropout', 'lx']"
 
@@ -661,9 +720,10 @@ def test_help_lists_defaults(capsys):
     assert main(["train", "--help"]) == 0
     out = " ".join(capsys.readouterr().out.split())
     defaults = T.TrainConfig().as_dict()
-    flags = [name for name in defaults if name not in ("beta1", "beta2", "eps")]  # the Adam constants have no flag
-    assert len(flags) == 12
-    for name in flags:
+    flags = argparse.ArgumentParser()
+    cli._add_train_flags(flags)
+    assert set(vars(flags.parse_args([]))) == set(defaults) and len(defaults) == 12
+    for name in defaults:
         option = out.rsplit(f"--{name.replace('_', '-')} ", 1)[1].split(" --", 1)[0]
         assert f"(default: {defaults[name]})" in option, name
 

@@ -51,6 +51,38 @@ MUTANTS = (
            "A.softmax(scores, axis=-1, mask=np.expand_dims(x_mask, -2))",
            "A.softmax(scores, axis=-1)",
            ("tests/test_model.py::test_cross_attention_respects_sentence_mask",)),
+    # the counterfactual is a function of the bias tokens alone: a bias head
+    # fed the encoded sentence makes it depend on the sentence
+    Mutant("bias-head-reads-the-sentence", "model.py",
+           '    y_b = bias_head(bh, b_mask, params, drop)\n    xh = encode(batch.x_ids, params, drop, site="enc_x")\n',
+           '    xh = encode(batch.x_ids, params, drop, site="enc_x")\n    y_b = bias_head(xh, x_mask, params, drop)\n',
+           ("tests/test_acceptance.py::test_counterfactual_x_invariance",
+            "tests/test_training.py::test_predict_batch_reuses_the_factual_bias_score")),
+    Mutant("bias-head-without-gradient-stop", "model.py",
+           'mlp(A.stop_gradient(A.mean_pool(bh, b_mask, axis=1)), "b", params, drop)',
+           'mlp(A.mean_pool(bh, b_mask, axis=1), "b", params, drop)',
+           ("tests/test_acceptance.py::test_gradient_stop",
+            "tests/test_training.py::test_lmixin_bias_path_detached_from_encoder")),
+    # ties keep the earlier validated step; a later fix that flips this
+    # compare on purpose carries the anchor with it
+    Mutant("selection-keeps-the-later-tie", "training.py",
+           "(f1 or 0.0) > (best_f1 or 0.0)",
+           "(f1 or 0.0) >= (best_f1 or 0.0)",
+           ("tests/test_training.py::test_train_selects_first_best_validated_step[4-7]",
+            "tests/test_training.py::test_train_selects_first_best_validated_step[5-6]")),
+    Mutant("dropout-key-ignores-the-step", "autodiff.py",
+           "key = (int(seed) << 64) | (int(step) << 8) | DROPOUT_SITES[site]",
+           "key = (int(seed) << 64) | DROPOUT_SITES[site]",
+           ("tests/test_autodiff.py::test_dropout_deterministic_per_key",
+            "tests/test_autodiff.py::test_dropout_bits_match_mask_then_scale")),
+    Mutant("checkpoint-loads-infinities", "checkpoint.py",
+           "if not np.isfinite(arr).all():",
+           "if np.isnan(arr).any():",
+           ("tests/test_checkpoint.py::test_non_finite_value_is_parse_error_naming_the_parameter",)),
+    Mutant("lexicon-keeps-case", "lexicon.py",
+           "surface, category = parts[0].strip().lower(), parts[1].strip()",
+           "surface, category = parts[0].strip(), parts[1].strip()",
+           ("tests/test_lexicon.py::test_load_uppercase_surface_is_lowercased",)),
 )
 
 
@@ -69,8 +101,8 @@ def mutated_source(mutant: Mutant, dest: Path) -> Path:
 def test_mutant_is_caught(mutant, tmp_path):
     src = mutated_source(mutant, tmp_path)
     # the ini file's ``pythonpath`` would put the unmutated src/ first; no
-    # target uses the benchmark or hypothesis plugins, whose loading is most
-    # of a run's start-up
+    # target needs the benchmark or hypothesis plugins (``@given`` runs
+    # without its plugin), whose loading is most of a run's start-up
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "no:benchmark",
          "-p", "no:hypothesispytest", "-o", f"pythonpath={src}", *mutant.caught_by],

@@ -539,7 +539,7 @@ def test_train_step_holds_no_vocabulary_sized_gradient():
     # (2.95 MiB) takes this step's peak to 9.8 MiB; the row-sparse one, to 6.9
     cfg = small_config(embed_dim=128, hidden=256, lx=128)
     params = M.init_params(cfg.model_config(3023), np.random.default_rng(26))
-    opt = AdamWState(lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01)
+    opt = AdamWState(lr=1e-3, weight_decay=0.01)
 
     def batch(rng):
         b_ids = rng.integers(len(RESERVED), 3023, (8, 4))
